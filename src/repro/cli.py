@@ -13,7 +13,7 @@ Subcommands mirror the experiment suite:
   against the campaign and assert bit-identical convergence;
 * ``lint``        -- the AST-based determinism / cache-safety analyzer
   (:mod:`repro.lint`): checks the D/C/R/H invariant rules over a source
-  tree, with ``--json`` for the machine-readable report.
+  tree (``--all`` adds the whole-program pass), with ``--json``.
 
 ``sweep``, ``faults`` and ``campaign`` accept ``--jobs N`` to fan their
 run grids across ``N`` worker processes (``--jobs -1`` uses every core);

@@ -17,13 +17,14 @@ invariants that keep both true:
 * **H-rules** -- observer purity: hooks never mutate engine payloads
   (H001) and never return values (H002).
 
-``repro lint --deep`` adds the whole-program layer
-(:mod:`repro.lint.deep`): an import-resolving call graph, transitive
-nondeterminism taint paths from the deterministic core (T001),
-fork-safety checks on the runner modules (F001-F003), and a checked-in
-baseline snapshot that turns the findings into a drift gate (B001 for
-stale baseline entries).  See the "Deep analysis" section of
-``docs/static-analysis.md``.
+``repro lint --all`` adds one whole-program pass
+(:mod:`repro.lint.deep`) over a single shared index, call graph and
+effect-summary fixpoint: transitive nondeterminism taint paths from the
+deterministic core (T001), fork safety of the runner modules
+(F001-F003), engine-phase, hook, pool-capture and spec-digest contracts
+(E/M/S), and robot-model conformance (A001-A005), gated by one
+checked-in baseline (B001 for stale entries).  See the "Whole-program
+analysis" section of ``docs/static-analysis.md``.
 
 Violations carry per-rule codes and can be silenced inline with
 ``# reprolint: disable=CODE`` on the offending line.  Run it as
@@ -50,7 +51,7 @@ from repro.lint.reporters import (
 from repro.lint.deep import (
     DeepResult,
     render_deep_summary,
-    run_deep_analysis,
+    run_whole_program_analysis,
 )
 from repro.lint.rules import (
     CACHE_SCOPE,
@@ -85,6 +86,6 @@ __all__ = [
     "render_text",
     "report_to_dict",
     "rule_catalogue",
-    "run_deep_analysis",
+    "run_whole_program_analysis",
     "select_rules",
 ]

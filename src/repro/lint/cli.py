@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.lint.engine import LintReport, lint_paths
+from repro.lint.engine import lint_paths
 from repro.lint.reporters import (
     render_all_json,
     render_json,
@@ -22,11 +22,9 @@ from repro.lint.reporters import (
     render_text,
 )
 
-#: Default scan roots per mode; whole-program modes want the package tree.
+#: Default scan roots of the shallow rules; the whole-program pass wants
+#: only the package tree (``DEEP_DEFAULT_PATHS``).
 SHALLOW_DEFAULT_PATHS = ["src", "tests", "benchmarks"]
-
-#: The whole-program tiers, in the order ``--all`` runs them.
-WHOLE_PROGRAM_MODES = ("deep", "effects", "robot")
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -36,7 +34,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         nargs="*",
         default=None,
         help="files or directories to lint (default: src tests "
-        "benchmarks; with a whole-program tier: src)",
+        "benchmarks; for the whole-program half of --all: src)",
     )
     parser.add_argument(
         "--json",
@@ -56,101 +54,52 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="print the rule catalogue and exit",
     )
     parser.add_argument(
-        "--deep",
-        action="store_true",
-        help="run the whole-program analysis (call-graph taint "
-        "propagation + fork-safety) against the accepted baseline",
-    )
-    parser.add_argument(
-        "--effects",
-        action="store_true",
-        help="run the whole-program effect/contract analysis (engine "
-        "phase, observer hook and spec digest contracts) against its "
-        "accepted baseline",
-    )
-    parser.add_argument(
-        "--robot-model",
-        action="store_true",
-        help="run the whole-program robot-model conformance analysis "
-        "(hidden/unbounded persistent state, observation scope and "
-        "mutation, model escape) against its accepted baseline",
-    )
-    parser.add_argument(
         "--all",
         action="store_true",
-        help="run every tier -- the shallow rules plus all three "
-        "whole-program passes -- in one invocation with a merged "
-        "report and a single combined exit code",
+        help="run the shallow rules plus the whole-program pass "
+        "(taint, fork safety, effect contracts, robot model) against "
+        "the accepted baseline, with one merged report and exit code",
     )
     parser.add_argument(
         "--baseline",
         default=None,
         metavar="PATH",
-        help="baseline snapshot for the selected whole-program tier "
-        "(defaults: lint-deep-baseline.json / "
-        "lint-effects-baseline.json / lint-robot-baseline.json)",
+        help="with --all: the baseline snapshot to gate against "
+        "(default: lint-baseline.json)",
     )
     parser.add_argument(
         "--update-baseline",
         action="store_true",
-        help="with a whole-program tier (or --all): accept the tree's "
-        "current findings as the new baseline(s) and exit 0",
+        help="with --all: accept the tree's current whole-program "
+        "findings as the new baseline",
     )
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="with a whole-program tier: re-parse every module instead "
-        "of consulting the .lint-cache AST cache",
+        help="with --all: re-parse every module instead of consulting "
+        "the .lint-cache AST cache",
     )
 
 
-def _whole_program_cache(args: argparse.Namespace) -> Optional[object]:
-    """The CLI-default AST cache, unless ``--no-cache`` opted out."""
-    if getattr(args, "no_cache", False):
-        return None
-    import pathlib
-
-    from repro.lint.deep.cache import DEFAULT_CACHE_DIR, ModuleCache
-
-    return ModuleCache(pathlib.Path(DEFAULT_CACHE_DIR))
-
-
-def _tier_runner(mode: str):
-    """``(runner, default baseline path)`` for a whole-program mode."""
-    from repro.lint.deep import (
-        DEFAULT_BASELINE_PATH,
-        DEFAULT_EFFECTS_BASELINE_PATH,
-        DEFAULT_ROBOT_BASELINE_PATH,
-        run_deep_analysis,
-        run_effects_analysis,
-        run_robot_model_analysis,
-    )
-
-    return {
-        "deep": (run_deep_analysis, DEFAULT_BASELINE_PATH),
-        "effects": (run_effects_analysis, DEFAULT_EFFECTS_BASELINE_PATH),
-        "robot": (run_robot_model_analysis, DEFAULT_ROBOT_BASELINE_PATH),
-    }[mode]
-
-
-def _run_whole_program(args: argparse.Namespace, mode: str) -> int:
+def _run_all(args: argparse.Namespace) -> int:
+    """Shallow rules plus the whole-program pass: one report, one exit."""
     from repro.lint.deep import (
         DEEP_DEFAULT_PATHS,
+        DEFAULT_BASELINE_PATH,
+        DEFAULT_CACHE_DIR,
         BaselineError,
+        ModuleCache,
         render_deep_summary,
+        run_whole_program_analysis,
     )
 
-    paths = args.paths if args.paths else list(DEEP_DEFAULT_PATHS)
-    runner, default_baseline = _tier_runner(mode)
-    baseline = (
-        args.baseline if args.baseline is not None else default_baseline
-    )
     try:
-        result = runner(
-            paths,
-            baseline_path=baseline,
+        shallow = lint_paths(args.paths or SHALLOW_DEFAULT_PATHS)
+        result = run_whole_program_analysis(
+            args.paths or DEEP_DEFAULT_PATHS,
+            baseline_path=args.baseline or DEFAULT_BASELINE_PATH,
             update_baseline=args.update_baseline,
-            cache=_whole_program_cache(args),
+            cache=None if args.no_cache else ModuleCache(DEFAULT_CACHE_DIR),
         )
     except (FileNotFoundError, BaselineError) as error:
         print(f"repro lint: {error}", file=sys.stderr)
@@ -164,65 +113,18 @@ def _run_whole_program(args: argparse.Namespace, mode: str) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.json:
-        print(render_json(result.report))
-    else:
-        print(render_text(result.report))
-        print(render_deep_summary(result))
-    # After --update-baseline only P001 parse errors (never baselined)
-    # can remain in the report, so the exit code is honest either way.
-    return 0 if result.report.ok else 1
-
-
-def _run_all(args: argparse.Namespace) -> int:
-    """Every tier in one invocation: merged report, combined exit code."""
-    from repro.lint.deep import (
-        DEEP_DEFAULT_PATHS,
-        BaselineError,
-        render_deep_summary,
-    )
-
-    shallow_paths = args.paths if args.paths else SHALLOW_DEFAULT_PATHS
-    deep_paths = args.paths if args.paths else list(DEEP_DEFAULT_PATHS)
-    cache = _whole_program_cache(args)
-    tiers: Dict[str, LintReport] = {}
-    summaries: List[str] = []
-    try:
-        tiers["shallow"] = lint_paths(shallow_paths)
-        for mode in WHOLE_PROGRAM_MODES:
-            runner, default_baseline = _tier_runner(mode)
-            result = runner(
-                deep_paths,
-                baseline_path=default_baseline,
-                update_baseline=args.update_baseline,
-                cache=cache,
-            )
-            tiers[mode if mode != "robot" else "robot_model"] = result.report
-            summaries.append(render_deep_summary(result))
-    except (FileNotFoundError, BaselineError, ValueError) as error:
-        print(f"repro lint: {error}", file=sys.stderr)
-        return 2
-    except Exception:
-        traceback.print_exc()
-        print(
-            "repro lint: internal error in whole-program analysis",
-            file=sys.stderr,
-        )
-        return 2
+    tiers = {"shallow": shallow, "whole_program": result.report}
     if args.json:
         print(render_all_json(tiers))
     else:
-        for name, key in (
-            ("shallow", "shallow"),
-            ("deep", "deep"),
-            ("effects", "effects"),
-            ("robot-model", "robot_model"),
-        ):
-            print(f"== {name} ==")
-            print(render_text(tiers[key]))
-        for summary in summaries:
-            print(summary)
-    return 0 if all(report.ok for report in tiers.values()) else 1
+        print("== shallow ==")
+        print(render_text(shallow))
+        print("== whole-program ==")
+        print(render_text(result.report))
+        print(render_deep_summary(result))
+    # After --update-baseline only P001 parse errors (never baselined)
+    # can remain in the whole-program report, so the exit is honest.
+    return 0 if shallow.ok and result.report.ok else 1
 
 
 def run_from_args(args: argparse.Namespace) -> int:
@@ -230,54 +132,21 @@ def run_from_args(args: argparse.Namespace) -> int:
     if args.list_rules:
         print(render_rule_catalogue())
         return 0
-    run_all = getattr(args, "all", False)
-    selected = [
-        flag
-        for flag in ("deep", "effects", "robot_model")
-        if getattr(args, flag, False)
-    ]
-    if run_all and selected:
-        print(
-            "repro lint: --all already runs every tier; drop "
-            f"--{selected[0].replace('_', '-')}",
-            file=sys.stderr,
-        )
-        return 2
-    if len(selected) > 1:
-        print(
-            "repro lint: --deep/--effects/--robot-model are separate "
-            "passes; run them as separate invocations (or use --all)",
-            file=sys.stderr,
-        )
-        return 2
-    if (run_all or selected) and args.select:
-        print(
-            "repro lint: --select does not apply to whole-program "
-            "passes (each is a single analysis)",
-            file=sys.stderr,
-        )
-        return 2
-    if run_all and args.baseline:
-        print(
-            "repro lint: --baseline names one tier's snapshot; --all "
-            "uses each tier's default baseline file",
-            file=sys.stderr,
-        )
-        return 2
-    if not (run_all or selected) and (args.baseline or args.update_baseline):
-        print(
-            "repro lint: --baseline/--update-baseline require --deep, "
-            "--effects, --robot-model or --all",
-            file=sys.stderr,
-        )
-        return 2
-    if run_all:
+    if args.all:
+        if args.select:
+            print(
+                "repro lint: --select picks shallow rules; --all runs "
+                "every rule",
+                file=sys.stderr,
+            )
+            return 2
         return _run_all(args)
-    if selected:
-        mode = {"deep": "deep", "effects": "effects", "robot_model": "robot"}[
-            selected[0]
-        ]
-        return _run_whole_program(args, mode)
+    if args.baseline or args.update_baseline:
+        print(
+            "repro lint: --baseline/--update-baseline require --all",
+            file=sys.stderr,
+        )
+        return 2
     select = (
         [s for s in args.select.split(",") if s.strip()]
         if args.select

@@ -1,6 +1,7 @@
-"""Whole-program deep analysis (``repro lint --deep``).
+"""Whole-program analysis (the second half of ``repro lint --all``).
 
-Layers, bottom to top:
+Layers, bottom to top (the index, call graph and effect summaries are
+built once per run and shared by every checker above them):
 
 * :mod:`~repro.lint.deep.modindex` -- parse every module once, index
   definitions, imports, aliases and registry dicts;
@@ -15,30 +16,26 @@ Layers, bottom to top:
   (parameter mutation, global writes, I/O) propagated through the call
   graph to a fixpoint;
 * :mod:`~repro.lint.deep.contracts` -- the E/M/S contract rules
-  evaluated over those summaries (``repro lint --effects``);
+  evaluated over those summaries;
 * :mod:`~repro.lint.deep.robotmodel` -- the A rule family: robot-model
-  conformance of algorithm classes (``repro lint --robot-model``);
+  conformance of algorithm classes;
 * :mod:`~repro.lint.deep.cache` -- content-addressed AST cache that
   lets repeated runs skip re-parsing unchanged modules;
 * :mod:`~repro.lint.deep.baseline` -- the accepted-fingerprint snapshot
   that turns absolute findings into a drift gate;
-* :mod:`~repro.lint.deep.analysis` -- the drivers the CLI calls.
+* :mod:`~repro.lint.deep.analysis` -- the one driver the CLI calls.
 """
 
 from repro.lint.deep.analysis import (
     DEEP_DEFAULT_PATHS,
     DeepResult,
     render_deep_summary,
-    run_deep_analysis,
-    run_effects_analysis,
-    run_robot_model_analysis,
+    run_whole_program_analysis,
 )
 from repro.lint.deep.baseline import (
     BASELINE_FORMAT_VERSION,
     BASELINE_KIND,
     DEFAULT_BASELINE_PATH,
-    DEFAULT_EFFECTS_BASELINE_PATH,
-    DEFAULT_ROBOT_BASELINE_PATH,
     BaselineError,
     diff_baseline,
     load_baseline,
@@ -89,8 +86,6 @@ __all__ = [
     "DEEP_DEFAULT_PATHS",
     "DEFAULT_BASELINE_PATH",
     "DEFAULT_CACHE_DIR",
-    "DEFAULT_EFFECTS_BASELINE_PATH",
-    "DEFAULT_ROBOT_BASELINE_PATH",
     "DeepResult",
     "FunctionEffects",
     "FunctionInfo",
@@ -111,9 +106,7 @@ __all__ = [
     "module_name_for",
     "render_baseline",
     "render_deep_summary",
-    "run_deep_analysis",
-    "run_effects_analysis",
-    "run_robot_model_analysis",
+    "run_whole_program_analysis",
     "trace_taint_paths",
     "witness_chain",
     "write_baseline",

@@ -1,15 +1,16 @@
-"""The whole-program drivers behind ``repro lint --deep``/``--effects``.
+"""The whole-program driver behind ``repro lint --all``.
 
-Glues the subsystem together: index the tree
+Glues the subsystem together in one pass: index the tree
 (:mod:`~repro.lint.deep.modindex`), build the call graph
-(:mod:`~repro.lint.deep.callgraph`), then either trace taint paths
-(:mod:`~repro.lint.deep.taint`) plus the fork-safety checks
-(:mod:`~repro.lint.deep.concurrency`) -- the ``--deep`` tier -- or
-infer effect summaries (:mod:`~repro.lint.deep.effects`) and evaluate
-the phase/hook/digest contracts (:mod:`~repro.lint.deep.contracts`) --
-the ``--effects`` tier.  Both reconcile their findings against an
-accepted baseline (:mod:`~repro.lint.deep.baseline`); each tier keeps
-its own baseline file so their drift gates are independent.
+(:mod:`~repro.lint.deep.callgraph`) and infer effect summaries
+(:mod:`~repro.lint.deep.effects`) once each, then run every checker
+over that shared graph -- taint paths (:mod:`~repro.lint.deep.taint`),
+fork safety (:mod:`~repro.lint.deep.concurrency`), the phase/hook/digest
+contracts (:mod:`~repro.lint.deep.contracts`) and robot-model
+conformance (:mod:`~repro.lint.deep.robotmodel`).  Their findings are
+reconciled against one accepted baseline
+(:mod:`~repro.lint.deep.baseline`); every fingerprint starts with its
+rule code, so one flat file keeps the families apart.
 
 The outcome is an ordinary :class:`~repro.lint.engine.LintReport`, so
 the existing text/JSON reporters and exit-code convention apply
@@ -28,8 +29,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.lint.deep.baseline import (
     DEFAULT_BASELINE_PATH,
-    DEFAULT_EFFECTS_BASELINE_PATH,
-    DEFAULT_ROBOT_BASELINE_PATH,
     STALE_CODE,
     diff_baseline,
     load_baseline,
@@ -39,7 +38,7 @@ from repro.lint.deep.cache import ModuleCache
 from repro.lint.deep.callgraph import CallGraph, build_call_graph
 from repro.lint.deep.concurrency import check_fork_safety
 from repro.lint.deep.contracts import check_contracts
-from repro.lint.deep.effects import infer_effects
+from repro.lint.deep.effects import FunctionEffects, infer_effects
 from repro.lint.deep.modindex import ProjectIndex, build_index
 from repro.lint.deep.robotmodel import check_robot_model
 from repro.lint.deep.taint import TAINT_CODE, trace_taint_paths
@@ -68,8 +67,8 @@ class DeepResult:
     #: whether this run rewrote the baseline (``--update-baseline``)
     updated: bool = False
     call_graph: Optional[CallGraph] = None
-    #: which tier produced this result (drives the summary header)
-    label: str = "deep analysis"
+    #: the shared effect summaries every checker read
+    summaries: Dict[str, FunctionEffects] = field(default_factory=dict)
 
 
 def _suppressed(
@@ -161,14 +160,17 @@ def _reconcile(
     return result
 
 
-def run_deep_analysis(
+def run_whole_program_analysis(
     paths: Sequence[Union[str, pathlib.Path]] = DEEP_DEFAULT_PATHS,
     baseline_path: Union[str, pathlib.Path] = DEFAULT_BASELINE_PATH,
     update_baseline: bool = False,
     cache: Optional[ModuleCache] = None,
 ) -> DeepResult:
-    """Run the taint/fork-safety pass and reconcile it with its baseline.
+    """Run every whole-program check and reconcile them with one baseline.
 
+    The index, call graph and effect summaries are built once and shared
+    by all four checkers (taint paths, fork safety, E/M/S contracts and
+    the A-rule robot model); none of them mutates what it is given.
     With ``update_baseline=True`` the current fingerprints are written
     to ``baseline_path`` and the report carries no drift findings (only
     ``P001`` parse errors, which can never be accepted).  Otherwise a
@@ -177,6 +179,7 @@ def run_deep_analysis(
     """
     index = build_index(paths, cache=cache)
     graph = build_call_graph(index)
+    summaries = infer_effects(graph)
     report = _report_for(index)
 
     taint = trace_taint_paths(graph)
@@ -195,72 +198,14 @@ def run_deep_analysis(
         for path in taint.paths
     ]
     candidates.extend(check_fork_safety(index))
+    candidates.extend(check_contracts(graph, summaries))
+    candidates.extend(check_robot_model(graph, summaries))
 
     result = DeepResult(
         report=report,
         baseline_path=str(baseline_path),
         call_graph=graph,
-        label="deep analysis",
-    )
-    return _reconcile(result, candidates, index, baseline_path, update_baseline)
-
-
-def run_effects_analysis(
-    paths: Sequence[Union[str, pathlib.Path]] = DEEP_DEFAULT_PATHS,
-    baseline_path: Union[str, pathlib.Path] = DEFAULT_EFFECTS_BASELINE_PATH,
-    update_baseline: bool = False,
-    cache: Optional[ModuleCache] = None,
-) -> DeepResult:
-    """Run the effect-inference/contract pass against its own baseline.
-
-    Same reconciliation semantics as :func:`run_deep_analysis`, but the
-    candidates come from :func:`~repro.lint.deep.contracts.check_contracts`
-    evaluated over :func:`~repro.lint.deep.effects.infer_effects`
-    summaries, and the default baseline file is
-    ``lint-effects-baseline.json`` so the two gates drift independently.
-    """
-    index = build_index(paths, cache=cache)
-    graph = build_call_graph(index)
-    report = _report_for(index)
-
-    summaries = infer_effects(graph)
-    candidates = check_contracts(graph, summaries)
-
-    result = DeepResult(
-        report=report,
-        baseline_path=str(baseline_path),
-        call_graph=graph,
-        label="effects analysis",
-    )
-    return _reconcile(result, candidates, index, baseline_path, update_baseline)
-
-
-def run_robot_model_analysis(
-    paths: Sequence[Union[str, pathlib.Path]] = DEEP_DEFAULT_PATHS,
-    baseline_path: Union[str, pathlib.Path] = DEFAULT_ROBOT_BASELINE_PATH,
-    update_baseline: bool = False,
-    cache: Optional[ModuleCache] = None,
-) -> DeepResult:
-    """Run the robot-model conformance pass against its own baseline.
-
-    Same reconciliation semantics as :func:`run_deep_analysis`; the
-    candidates come from
-    :func:`~repro.lint.deep.robotmodel.check_robot_model` evaluated over
-    effect summaries, and the default baseline file is
-    ``lint-robot-baseline.json`` -- the third independent drift gate.
-    """
-    index = build_index(paths, cache=cache)
-    graph = build_call_graph(index)
-    report = _report_for(index)
-
-    summaries = infer_effects(graph)
-    candidates = check_robot_model(graph, summaries)
-
-    result = DeepResult(
-        report=report,
-        baseline_path=str(baseline_path),
-        call_graph=graph,
-        label="robot-model analysis",
+        summaries=summaries,
     )
     return _reconcile(result, candidates, index, baseline_path, update_baseline)
 
@@ -272,8 +217,9 @@ def render_deep_summary(result: DeepResult) -> str:
     fingerprints, one per line, without digging through full messages.
     """
     lines = [
-        f"{result.label}: {len(result.fingerprints)} finding(s) in tree, "
-        f"{result.accepted} accepted by baseline {result.baseline_path}"
+        f"whole-program analysis: {len(result.fingerprints)} finding(s) "
+        f"in tree, {result.accepted} accepted by baseline "
+        f"{result.baseline_path}"
     ]
     if result.updated:
         lines.append(f"baseline updated: {result.baseline_path}")

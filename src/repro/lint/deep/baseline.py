@@ -1,19 +1,21 @@
-"""The deep-analysis baseline snapshot (`lint-deep-baseline.json`).
+"""The whole-program baseline snapshot (`lint-baseline.json`).
 
 Whole-program findings are about *drift*, not absolutes: the gate must
-fail when a change introduces a new taint path, without demanding the
-tree be finding-free from day one.  The baseline is the checked-in set
-of accepted finding fingerprints; a deep run fails on
+fail when a change introduces a new taint path or contract breach,
+without demanding the tree be finding-free from day one.  The baseline
+is the checked-in set of accepted finding fingerprints; a run fails on
 
 * **new** findings -- fingerprints present in the tree but not in the
-  baseline (reported under their own codes, ``T001``/``F00x``), and
+  baseline (reported under their own codes, ``T001``/``F00x``/
+  ``E00x``/``M001``/``S00x``/``A00x``), and
 * **stale** entries -- baseline fingerprints no longer produced by the
   tree (reported as ``B001`` anchored at the baseline file), so a fixed
   path cannot silently linger as an accepted exemption.
 
-Fingerprints are location-free (call-chain qualnames + seed identity,
-never line numbers), so moving code within a file does not churn the
-baseline.  The file format mirrors the JSON reporter's conventions:
+Fingerprints are location-free (rule code + call-chain qualnames +
+seed identity, never line numbers), so moving code within a file does
+not churn the baseline, and the leading rule code keeps every family
+apart in one flat list.  The file format mirrors the JSON reporter's conventions:
 ``kind`` + ``format_version`` header, sorted keys, two-space indent,
 trailing newline -- ``--update-baseline`` on an unchanged tree rewrites
 the file byte-identically.
@@ -30,14 +32,7 @@ BASELINE_FORMAT_VERSION = 1
 
 #: Default location, resolved against the working directory (the repo
 #: root in CI and normal use).
-DEFAULT_BASELINE_PATH = "lint-deep-baseline.json"
-
-#: The effects/contract tier keeps its own accepted-fingerprint file so
-#: the two drift gates move independently.
-DEFAULT_EFFECTS_BASELINE_PATH = "lint-effects-baseline.json"
-
-#: The robot-model tier's accepted-fingerprint file (third drift gate).
-DEFAULT_ROBOT_BASELINE_PATH = "lint-robot-baseline.json"
+DEFAULT_BASELINE_PATH = "lint-baseline.json"
 
 STALE_CODE = "B001"
 

@@ -1,6 +1,6 @@
 """Content-addressed disk cache for parsed module ASTs.
 
-The deep and effects tiers re-parse the whole tree on every run; in CI
+The whole-program pass re-parses the whole tree on every run; in CI
 and in tight edit-lint loops almost nothing changed since the last run.
 This cache keys each module's pickled AST by a hash of its *source
 text* (plus a format version, the analyzer generation

@@ -16,9 +16,9 @@ three patterns quietly unsafe:
   atomicity mechanism; wrapping it in a lock adds nothing in-process and
   deadlocks a child forked while the parent held the lock.
 
-These run only inside ``repro lint --deep`` (they need no call graph,
-but they share the deep pass's baseline and reporting); shallow lint
-output is unchanged.
+These run only in the whole-program pass of ``repro lint --all`` (they
+need no call graph, but they share its baseline and reporting); shallow
+lint output is unchanged.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
-"""Whole-program module indexing for the deep analysis pass.
+"""Module indexing for the whole-program analysis pass.
 
 The per-file rules in :mod:`repro.lint` see one module at a time; the
-deep pass (``repro lint --deep``) needs to know, for *every* module in
-the analyzed tree at once, what it defines, what it imports, and what it
-re-exports -- that is the raw material the call-graph builder resolves
-names against.
+whole-program pass (``repro lint --all``) needs to know, for *every*
+module in the analyzed tree at once, what it defines, what it imports,
+and what it re-exports -- that is the raw material the call-graph
+builder resolves names against.
 
 :func:`build_index` parses every ``*.py`` file under the given paths
 exactly once and returns a :class:`ProjectIndex`:

@@ -5,7 +5,7 @@ persistent bits per robot (Lemma 8), a strict global-vs-local
 communication split (Theorems 1-2), and robots that see the world only
 through their :class:`~repro.sim.observation.Observation`.  The runtime
 enforces these per configuration (``audit_memory``, the engine's
-comm-model fail-fast); this tier proves them over *all* code paths of
+comm-model fail-fast); these rules prove them over *all* code paths of
 every algorithm class, the way :mod:`~repro.lint.deep.contracts` proves
 the backend phase contracts.
 

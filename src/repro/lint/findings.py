@@ -72,8 +72,8 @@ class RuleInfo:
 
         Shallow families: ``D`` (determinism), ``C`` (cache safety),
         ``R`` (reducibility), ``H`` (hook discipline).  Whole-program
-        families live outside the shallow catalogue: ``T``/``F`` under
-        ``--deep`` and ``E``/``M``/``S`` under ``--effects``, plus the
-        shared ``P`` (parse) and ``B`` (baseline drift) codes.
+        families live outside the shallow catalogue and run under
+        ``--all``: ``T``/``F``/``E``/``M``/``S``/``A``, plus the ``P``
+        (parse) and ``B`` (baseline drift) codes.
         """
         return self.code[:1]

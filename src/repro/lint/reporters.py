@@ -38,7 +38,11 @@ def render_json(report: LintReport) -> str:
 
 #: Tier order in the merged ``--all`` report; keys are schema, not
 #: display names, so they stay snake_case and never change.
-ALL_TIER_KEYS = ("shallow", "deep", "effects", "robot_model")
+ALL_TIER_KEYS = ("shallow", "whole_program")
+
+#: Version of the merged ``--all`` document (its own schema; the
+#: per-tier sub-reports keep ``REPORT_FORMAT_VERSION``).
+ALL_REPORT_FORMAT_VERSION = 2
 
 
 def all_report_to_dict(tiers: Dict[str, LintReport]) -> Dict[str, Any]:
@@ -51,7 +55,7 @@ def all_report_to_dict(tiers: Dict[str, LintReport]) -> Dict[str, Any]:
     """
     return {
         "kind": "reprolint_all_report",
-        "format_version": REPORT_FORMAT_VERSION,
+        "format_version": ALL_REPORT_FORMAT_VERSION,
         "ok": all(report.ok for report in tiers.values()),
         "tiers": {
             key: report_to_dict(tiers[key])
@@ -88,54 +92,52 @@ def render_text(report: LintReport) -> str:
     return "\n".join(lines)
 
 
-#: ``(code, name, mode, summary)`` per whole-program rule.  These run
-#: under ``--deep``/``--effects``/``--robot-model`` rather than the
-#: shallow per-file engine, so they are listed here instead of the
-#: selectable catalogue.
+#: ``(code, name, summary)`` per whole-program rule.  These run in the
+#: whole-program half of ``--all`` rather than the shallow per-file
+#: engine, so they are listed here instead of the selectable catalogue.
 WHOLE_PROGRAM_RULES = (
-    ("T001", "deep-taint-path", "--deep",
+    ("T001", "deep-taint-path",
      "a deterministic-core function transitively reaches a "
      "nondeterminism source"),
-    ("F001", "fork-unsafe-global", "--deep",
+    ("F001", "fork-unsafe-global",
      "a runner module mutates a module-level global that forked "
      "workers snapshot"),
-    ("E001", "phase-engine-mutation", "--effects",
+    ("E001", "phase-engine-mutation",
      "a backend phase transitively mutates engine state outside its "
      "phase allowlist"),
-    ("E002", "phase-payload-mutation", "--effects",
+    ("E002", "phase-payload-mutation",
      "a backend phase mutates a payload parameter that is not a "
      "documented out-parameter"),
-    ("E003", "hook-payload-mutation", "--effects",
+    ("E003", "hook-payload-mutation",
      "an observer on_* hook transitively mutates its payload "
      "(interprocedural H001)"),
-    ("E004", "phase-io", "--effects",
-     "a backend phase performs I/O"),
-    ("M001", "mutation-after-submit", "--effects",
+    ("E004", "phase-io", "a backend phase performs I/O"),
+    ("M001", "mutation-after-submit",
      "an object captured by a submitted work unit is mutated after "
      "the submission"),
-    ("S001", "digest-unstable-field", "--effects",
+    ("S001", "digest-unstable-field",
      "a defaulted spec field is serialized unconditionally, drifting "
      "every digest"),
-    ("S002", "digest-missing-field", "--effects",
+    ("S002", "digest-missing-field",
      "a spec field never reaches to_dict, so differing specs share a "
      "digest"),
-    ("A001", "hidden-persistent-state", "--robot-model",
+    ("A001", "hidden-persistent-state",
      "an algorithm hook writes an attribute that persistent_state() "
      "never emits (state the memory audit cannot see)"),
-    ("A002", "unbounded-declared-state", "--robot-model",
+    ("A002", "unbounded-declared-state",
      "a persistent_state() field has no bound in "
      "persistent_state_bounds(), so its bit cost is uncharged"),
-    ("A003", "observation-scope-violation", "--robot-model",
+    ("A003", "observation-scope-violation",
      "a LOCAL-communication algorithm reads a global-only Observation "
      "field"),
-    ("A004", "model-escape", "--robot-model",
+    ("A004", "model-escape",
      "decide() transitively reaches engine/graph/store internals, "
      "breaking robot anonymity"),
-    ("A005", "observation-mutation", "--robot-model",
+    ("A005", "observation-mutation",
      "a decide/detects_termination hook mutates its Observation"),
-    ("P001", "parse-error", "--deep/--effects/--robot-model",
+    ("P001", "parse-error",
      "a file under analysis does not parse (never baselined)"),
-    ("B001", "stale-baseline-entry", "--deep/--effects/--robot-model",
+    ("B001", "stale-baseline-entry",
      "an accepted baseline fingerprint is no longer produced by the "
      "tree"),
 )
@@ -149,8 +151,8 @@ def render_rule_catalogue() -> str:
         lines.append(f"{info.code}  {info.name}  [{scope}]")
         lines.append(f"      {info.summary}")
     lines.append("")
-    lines.append("whole-program rules (not selectable with --select):")
-    for code, name, mode, summary in WHOLE_PROGRAM_RULES:
-        lines.append(f"{code}  {name}  [{mode}]")
+    lines.append("whole-program rules (run by --all, not selectable):")
+    for code, name, summary in WHOLE_PROGRAM_RULES:
+        lines.append(f"{code}  {name}")
         lines.append(f"      {summary}")
     return "\n".join(lines)

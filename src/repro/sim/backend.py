@@ -66,7 +66,7 @@ __all__ = [
 
 #: The machine-checked phase contract: which engine-state attributes
 #: each phase primitive may mutate (directly or through any callee).
-#: ``repro lint --effects`` enforces this transitively over every
+#: ``repro lint --all`` enforces this transitively over every
 #: registered backend -- reference, vectorized and future ones alike
 #: (rule E001 in :mod:`repro.lint.deep.contracts`); backend-private
 #: caches (``self._csr`` and friends) are always fair game.  Widening a
@@ -105,7 +105,7 @@ class EngineBackend(ABC):
     mutate it through the documented phase contracts but never drive the
     round loop, fire observers, or construct records themselves.
 
-    The contract is statically enforced: ``repro lint --effects``
+    The contract is statically enforced: ``repro lint --all``
     infers each phase implementation's transitive side effects and
     checks them against :data:`PHASE_MUTABLE_ATTRS` /
     :data:`PHASE_OUT_PARAMS`, so a stray in-place write in any

@@ -13,8 +13,8 @@ Provided observers:
 * :class:`TraceCollector` -- accumulates the per-round
   :class:`~repro.sim.metrics.RoundRecord` s (the engine itself uses one
   internally when ``collect_records=True``);
-* :class:`CallbackObserver` -- adapts a plain ``callable(record)`` (the
-  legacy ``round_observers`` engine parameter) onto the observer API;
+* :class:`CallbackObserver` -- adapts a plain ``callable(RoundRecord)``
+  onto the observer API, called once per completed round;
 * :class:`ProgressNarrator` -- prints a one-line live summary per round
   (what ``repro-dispersion run --live`` shows);
 * :class:`PhaseTimer` -- wall-clock accounting per CCM phase, for finding
@@ -73,8 +73,8 @@ class EngineObserver:
 class CallbackObserver(EngineObserver):
     """Adapter: a plain ``callable(RoundRecord)`` as an observer.
 
-    This is how the engine's legacy ``round_observers`` parameter is
-    carried on the new hook layer unchanged.
+    The callable receives each completed round's record from
+    :meth:`on_round_end`; it sees nothing of the other hooks.
     """
 
     def __init__(self, callback: Callable[[RoundRecord], None]) -> None:

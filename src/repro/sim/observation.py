@@ -49,7 +49,7 @@ class CommunicationModel(enum.Enum):
 #: ``requires_communication = CommunicationModel.LOCAL`` must not read
 #: them -- doing so silently bakes a global-information assumption into a
 #: local-model algorithm (the split Theorems 1-2 make load-bearing).
-#: ``repro lint --robot-model`` (rule A003) enforces this statically for
+#: ``repro lint --all`` (rule A003) enforces this statically for
 #: every algorithm class; the table lives here, next to the governed
 #: dataclass, so adding an ``Observation`` member forces a scope decision
 #: (the lint tier's completeness test fails on any member missing here).

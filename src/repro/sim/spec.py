@@ -61,7 +61,7 @@ SPEC_FORMAT_VERSION = 1
 CODE_VERSION_SALT = f"spec{SPEC_FORMAT_VERSION}:results1"
 
 #: The digest-stability contract, machine-checked by ``repro lint
-#: --effects`` (rules S001/S002 in :mod:`repro.lint.deep.contracts`).
+#: --all`` (rules S001/S002 in :mod:`repro.lint.deep.contracts`).
 #: Per spec class: the fields whose keys every format-v1 document
 #: already carries.  A *new* defaulted field must be emitted behind an
 #: ``if self.<field> ...`` guard in ``to_dict`` so pre-existing specs --

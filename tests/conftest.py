@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pathlib
 import random
 from typing import Dict, List, Tuple
 
@@ -17,6 +18,21 @@ from repro.sim.observation import InfoPacket, build_info_packets
 def rng() -> random.Random:
     """A deterministic RNG; tests that need more seeds build their own."""
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture(scope="session")
+def repo_lint():
+    """One whole-program lint run over ``src`` against the committed baseline.
+
+    The lint self-checks all read this single run, so the repository's
+    tree is indexed, graphed and effect-summarized once per session.
+    """
+    from repro.lint.deep import run_whole_program_analysis
+
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    return run_whole_program_analysis(
+        [repo / "src"], baseline_path=repo / "lint-baseline.json"
+    )
 
 
 @pytest.fixture(autouse=True)

@@ -1,13 +1,14 @@
-"""Tests for ``repro lint --deep``: the whole-program taint analysis.
+"""Tests for the whole-program pass of ``repro lint --all``: taint paths.
 
 Fixture packages are written under ``tmp_path`` (with ``__init__.py``
 files so the module indexer derives real dotted names) and indexed with
 the same ``build_index`` the CLI uses.  The suite pins the call-graph
 resolution cases the engine promises (cycles, re-exports, registry
 factories, method dispatch, deferred imports), the exact taint-path
-message format, the fork-safety F-rules, the baseline drift gate, and
-the CLI exit codes -- plus the self-check that the repository's own
-tree is clean against the committed baseline.
+message format, the fork-safety F-rules, the one driver's baseline
+drift gate, its shared index/call-graph/effects build, and the
+``--all`` CLI cycle for every rule family -- plus the self-check that
+the repository's own tree is clean against the committed baseline.
 """
 
 import pathlib
@@ -21,7 +22,7 @@ from repro.lint.deep import (
     diff_baseline,
     load_baseline,
     render_baseline,
-    run_deep_analysis,
+    run_whole_program_analysis,
     write_baseline,
 )
 from repro.lint.deep.callgraph import build_call_graph
@@ -29,6 +30,8 @@ from repro.lint.deep.concurrency import check_fork_safety
 from repro.lint.deep.modindex import build_index
 from repro.lint.deep.taint import collect_seeds, trace_taint_paths
 from repro.lint.cli import main as lint_main
+from tests.test_lint_effects import BAD_BACKEND
+from tests.test_lint_robotmodel import HIDDEN_STATE
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -515,7 +518,7 @@ class TestTaint:
                 return decorate()  # reprolint: disable=T001
             """
         build(tmp_path, files)
-        result = run_deep_analysis(
+        result = run_whole_program_analysis(
             [tmp_path], baseline_path=tmp_path / "baseline.json"
         )
         assert result.report.ok
@@ -640,7 +643,7 @@ class TestBaseline:
 class TestDeepAnalysis:
     def test_missing_baseline_reports_every_path_as_new(self, tmp_path):
         build(tmp_path, TWO_HOP_TAINT)
-        result = run_deep_analysis(
+        result = run_whole_program_analysis(
             [tmp_path], baseline_path=tmp_path / "baseline.json"
         )
         assert not result.report.ok
@@ -651,18 +654,18 @@ class TestDeepAnalysis:
     def test_update_baseline_round_trips_byte_identical(self, tmp_path):
         build(tmp_path, TWO_HOP_TAINT)
         baseline = tmp_path / "baseline.json"
-        first = run_deep_analysis(
+        first = run_whole_program_analysis(
             [tmp_path], baseline_path=baseline, update_baseline=True
         )
         assert first.updated and first.report.ok
         snapshot = baseline.read_bytes()
         # accepted now, no drift
-        second = run_deep_analysis([tmp_path], baseline_path=baseline)
+        second = run_whole_program_analysis([tmp_path], baseline_path=baseline)
         assert second.report.ok
         assert second.new == [] and second.stale == []
         assert second.accepted == 1
         # re-updating an unchanged tree must not move a byte
-        run_deep_analysis(
+        run_whole_program_analysis(
             [tmp_path], baseline_path=baseline, update_baseline=True
         )
         assert baseline.read_bytes() == snapshot
@@ -672,7 +675,7 @@ class TestDeepAnalysis:
         (tmp_path / "pkg" / "clean.py").write_text("x = 1\n")
         baseline = tmp_path / "baseline.json"
         write_baseline(baseline, {"T001|gone.func|wall_clock|time.time"})
-        result = run_deep_analysis([tmp_path], baseline_path=baseline)
+        result = run_whole_program_analysis([tmp_path], baseline_path=baseline)
         assert not result.report.ok
         assert [f.code for f in result.report.findings] == ["B001"]
         assert "T001|gone.func|wall_clock|time.time" in (
@@ -681,39 +684,84 @@ class TestDeepAnalysis:
 
 
 class TestDeepCli:
-    def test_drift_then_update_then_clean(self, tmp_path, capsys):
-        build(tmp_path, TWO_HOP_TAINT)
-        baseline = str(tmp_path / "baseline.json")
-        assert (
-            lint_main(["--deep", "--baseline", baseline, str(tmp_path)]) == 1
-        )
-        out = capsys.readouterr().out
-        assert "T001" in out and "+ new:" in out
-        assert (
-            lint_main(
-                [
-                    "--deep",
-                    "--baseline",
-                    baseline,
-                    "--update-baseline",
-                    str(tmp_path),
-                ]
-            )
-            == 0
-        )
-        assert "baseline updated" in capsys.readouterr().out
-        assert (
-            lint_main(["--deep", "--baseline", baseline, str(tmp_path)]) == 0
-        )
-        assert "no drift against baseline" in capsys.readouterr().out
+    """Usage errors around the whole-program pass that replaced --deep."""
 
     def test_select_with_deep_is_a_usage_error(self, capsys):
-        assert lint_main(["--deep", "--select", "D"]) == 2
-        assert "--select does not apply" in capsys.readouterr().err
+        # --deep is retired; the pass it ran is part of --all, which
+        # runs every rule and so takes no --select either.
+        with pytest.raises(SystemExit) as exit_info:
+            lint_main(["--deep", "--select", "D"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --deep" in capsys.readouterr().err
+        assert lint_main(["--all", "--select", "D"]) == 2
+        assert "--select picks shallow rules" in capsys.readouterr().err
 
     def test_baseline_flags_require_deep(self, capsys):
+        # The baseline flags belong to the whole-program pass, now --all.
         assert lint_main(["--update-baseline"]) == 2
-        assert "require --deep" in capsys.readouterr().err
+        assert "require --all" in capsys.readouterr().err
+
+
+class TestWholeProgramCli:
+    """``repro lint --all`` over the one whole-program driver."""
+
+    @pytest.fixture(
+        params=[
+            ("T001", TWO_HOP_TAINT),
+            ("E001", BAD_BACKEND),
+            ("A001", HIDDEN_STATE),
+        ],
+        ids=lambda param: param[0],
+    )
+    def violation(self, request, tmp_path):
+        code, files = request.param
+        build(tmp_path, files)
+        return code
+
+    def test_drift_then_update_then_clean(self, tmp_path, capsys, violation):
+        baseline = str(tmp_path / "baseline.json")
+        argv = ["--all", "--no-cache", "--baseline", baseline, str(tmp_path)]
+        assert lint_main(argv) == 1
+        out = capsys.readouterr().out
+        assert violation in out and "+ new:" in out
+        assert "whole-program analysis:" in out
+        assert lint_main(argv + ["--update-baseline"]) == 0
+        assert "baseline updated" in capsys.readouterr().out
+        assert lint_main(argv) == 0
+        assert "no drift against baseline" in capsys.readouterr().out
+
+    def test_one_run_builds_each_stage_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # perfbench's tracer wraps these same module globals; each must
+        # run once per invocation, however many rule families report.
+        import repro.lint.deep.analysis as analysis
+
+        stages = (
+            "build_index",
+            "build_call_graph",
+            "infer_effects",
+            "trace_taint_paths",
+            "check_fork_safety",
+            "check_contracts",
+            "check_robot_model",
+        )
+        calls = dict.fromkeys(stages, 0)
+        for stage in stages:
+            real = getattr(analysis, stage)
+
+            def counted(*args, _real=real, _stage=stage, **kwargs):
+                calls[_stage] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(analysis, stage, counted)
+        build(tmp_path, TWO_HOP_TAINT)
+        baseline = str(tmp_path / "baseline.json")
+        assert lint_main(
+            ["--all", "--no-cache", "--baseline", baseline, str(tmp_path)]
+        ) == 1
+        assert "T001" in capsys.readouterr().out
+        assert calls == dict.fromkeys(stages, 1)
 
 
 # ----------------------------------------------------------------------
@@ -722,11 +770,10 @@ class TestDeepCli:
 
 
 class TestSelfCheck:
-    def test_repo_tree_has_no_drift_against_committed_baseline(self):
-        result = run_deep_analysis(
-            [REPO / "src"],
-            baseline_path=REPO / "lint-deep-baseline.json",
-        )
+    def test_repo_tree_has_no_drift_against_committed_baseline(
+        self, repo_lint
+    ):
+        result = repo_lint
         assert result.report.ok, [
             finding.render() for finding in result.report.findings
         ]

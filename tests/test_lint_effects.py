@@ -1,17 +1,16 @@
-"""Tests for ``repro lint --effects``: effect inference and contracts.
+"""Tests for effect inference and the E/M/S contracts of ``repro lint --all``.
 
 Fixture packages are written under ``tmp_path`` exactly like the
-``--deep`` suite and indexed with the same ``build_index`` the CLI
+taint-path suite and indexed with the same ``build_index`` the CLI
 uses.  The suite pins the effect-summary semantics (aliases, augmented
 subscripts, comprehensions, lambdas, ``functools.partial``, numpy
 in-place operations, registry dispatch), every E/M/S contract rule with
 its fingerprint and call-chain message, the H001 alias blind spot the
 new tier closes, the AST disk cache, the CLI exit-code contract, and
-the self-check that the repository's own tree is clean against the
-committed effects baseline.
+the guard that the repository self-check really sees the reference
+backend's phase mutations.
 """
 
-import pathlib
 import textwrap
 
 import pytest
@@ -19,16 +18,13 @@ import pytest
 from repro.lint.cli import main as lint_main
 from repro.lint.deep import (
     ModuleCache,
-    run_effects_analysis,
+    run_whole_program_analysis,
 )
 from repro.lint.deep.callgraph import build_call_graph
 from repro.lint.deep.contracts import check_contracts
 from repro.lint.deep.effects import infer_effects, witness_chain
 from repro.lint.deep.modindex import build_index
 from repro.lint.engine import lint_paths
-
-REPO = pathlib.Path(__file__).resolve().parent.parent
-
 
 def build(root, files):
     """Write a fixture tree and index it (``__init__.py`` chain included)."""
@@ -354,6 +350,17 @@ BACKEND_PREAMBLE = "class EngineBackend:\n    pass\n\n\n"
 def backend_module(body):
     """A fixture module: the EngineBackend stub plus a dedented body."""
     return BACKEND_PREAMBLE + textwrap.dedent(body).lstrip("\n")
+
+
+#: A backend whose observe phase writes engine positions (E001).
+BAD_BACKEND = {
+    "pkg/backend.py": backend_module("""
+        class BadBackend(EngineBackend):
+            def observe(self, snapshot, round_index):
+                engine = self.engine
+                engine._positions[0] = 3
+        """),
+}
 
 
 class TestPhaseContracts:
@@ -776,24 +783,16 @@ class TestModuleCache:
         assert cache.misses == 1
 
     def test_cached_run_equals_uncached_run(self, tmp_path):
-        build(
-            tmp_path,
-            {
-                "pkg/backend.py": backend_module("""
-                    class BadBackend(EngineBackend):
-                        def observe(self, snapshot, round_index):
-                            engine = self.engine
-                            engine._positions[0] = 3
-                    """),
-            },
-        )
+        build(tmp_path, BAD_BACKEND)
         cache = ModuleCache(tmp_path / "cache")
         baseline = tmp_path / "baseline.json"
-        cold = run_effects_analysis([tmp_path], baseline_path=baseline)
-        warm = run_effects_analysis(
+        cold = run_whole_program_analysis(
+            [tmp_path], baseline_path=baseline
+        )
+        warm = run_whole_program_analysis(
             [tmp_path], baseline_path=baseline, cache=cache
         )
-        hot = run_effects_analysis(
+        hot = run_whole_program_analysis(
             [tmp_path], baseline_path=baseline, cache=cache
         )
         assert cache.hits > 0
@@ -806,74 +805,40 @@ class TestModuleCache:
 
 
 class TestEffectsCli:
-    VIOLATION = {
-        "pkg/backend.py": backend_module("""
-            class BadBackend(EngineBackend):
-                def observe(self, snapshot, round_index):
-                    engine = self.engine
-                    engine._positions[0] = 3
-            """),
-    }
-
-    def test_drift_then_update_then_clean(self, tmp_path, capsys):
-        build(tmp_path, self.VIOLATION)
-        baseline = str(tmp_path / "baseline.json")
-        assert (
-            lint_main(["--effects", "--baseline", baseline, str(tmp_path)])
-            == 1
-        )
-        out = capsys.readouterr().out
-        assert "E001" in out and "+ new:" in out
-        assert "effects analysis:" in out
-        assert (
-            lint_main(
-                [
-                    "--effects",
-                    "--baseline",
-                    baseline,
-                    "--update-baseline",
-                    str(tmp_path),
-                ]
-            )
-            == 0
-        )
-        assert "baseline updated" in capsys.readouterr().out
-        assert (
-            lint_main(["--effects", "--baseline", baseline, str(tmp_path)])
-            == 0
-        )
-        assert "no drift against baseline" in capsys.readouterr().out
-
     def test_fixing_the_violation_reports_stale(self, tmp_path, capsys):
-        build(tmp_path, self.VIOLATION)
-        baseline = str(tmp_path / "baseline.json")
-        lint_main(
-            [
-                "--effects",
-                "--baseline",
-                baseline,
-                "--update-baseline",
-                str(tmp_path),
-            ]
-        )
+        build(tmp_path, BAD_BACKEND)
+        argv = [
+            "--all",
+            "--no-cache",
+            "--baseline",
+            str(tmp_path / "baseline.json"),
+            str(tmp_path),
+        ]
+        lint_main(argv + ["--update-baseline"])
         capsys.readouterr()
         (tmp_path / "pkg" / "backend.py").write_text(
             textwrap.dedent(BACKEND_PREAMBLE).lstrip("\n")
         )
-        assert (
-            lint_main(["--effects", "--baseline", baseline, str(tmp_path)])
-            == 1
-        )
+        assert lint_main(argv) == 1
         out = capsys.readouterr().out
         assert "B001" in out and "- stale:" in out
 
     def test_deep_and_effects_together_is_a_usage_error(self, capsys):
-        assert lint_main(["--deep", "--effects"]) == 2
-        assert "separate passes" in capsys.readouterr().err
+        # Both per-family flags are retired in favour of the one --all
+        # pass, so asking for either (or both) is rejected outright.
+        with pytest.raises(SystemExit) as exit_info:
+            lint_main(["--deep", "--effects"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --deep --effects" in err
 
     def test_select_with_effects_is_a_usage_error(self, capsys):
-        assert lint_main(["--effects", "--select", "E"]) == 2
-        assert "--select does not apply" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            lint_main(["--effects", "--select", "E"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --effects" in capsys.readouterr().err
+        assert lint_main(["--all", "--select", "E"]) == 2
+        assert "--select picks shallow rules" in capsys.readouterr().err
 
     def test_internal_error_exits_two(self, tmp_path, capsys, monkeypatch):
         build(tmp_path, {"pkg/a.py": "x = 1\n"})
@@ -882,9 +847,9 @@ class TestEffectsCli:
             raise RuntimeError("analyzer exploded")
 
         monkeypatch.setattr(
-            "repro.lint.deep.run_effects_analysis", boom
+            "repro.lint.deep.run_whole_program_analysis", boom
         )
-        assert lint_main(["--effects", str(tmp_path)]) == 2
+        assert lint_main(["--all", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "internal error" in err and "analyzer exploded" in err
 
@@ -895,7 +860,7 @@ class TestEffectsCli:
         assert (
             lint_main(
                 [
-                    "--effects",
+                    "--all",
                     "--no-cache",
                     "--baseline",
                     baseline,
@@ -906,28 +871,34 @@ class TestEffectsCli:
         )
         assert not (tmp_path / ".lint-cache").exists()
         assert (
-            lint_main(
-                ["--effects", "--baseline", baseline, str(tmp_path)]
-            )
+            lint_main(["--all", "--baseline", baseline, str(tmp_path)])
             == 0
         )
         assert (tmp_path / ".lint-cache").is_dir()
         capsys.readouterr()
 
     def test_json_report_shape(self, tmp_path, capsys):
-        build(tmp_path, self.VIOLATION)
+        build(tmp_path, BAD_BACKEND)
         baseline = str(tmp_path / "baseline.json")
         assert (
             lint_main(
-                ["--effects", "--json", "--baseline", baseline, str(tmp_path)]
+                [
+                    "--all",
+                    "--no-cache",
+                    "--json",
+                    "--baseline",
+                    baseline,
+                    str(tmp_path),
+                ]
             )
             == 1
         )
         import json
 
         data = json.loads(capsys.readouterr().out)
-        assert data["kind"] == "reprolint_report"
-        assert [f["code"] for f in data["findings"]] == ["E001"]
+        tier = data["tiers"]["whole_program"]
+        assert tier["kind"] == "reprolint_report"
+        assert [f["code"] for f in tier["findings"]] == ["E001"]
 
     def test_list_rules_mentions_whole_program_families(self, capsys):
         assert lint_main(["--list-rules"]) == 0
@@ -949,7 +920,7 @@ class TestSuppression:
                     """,
             },
         )
-        result = run_effects_analysis(
+        result = run_whole_program_analysis(
             [tmp_path], baseline_path=tmp_path / "baseline.json"
         )
         assert result.report.ok
@@ -962,22 +933,26 @@ class TestSuppression:
 
 
 class TestSelfCheck:
-    def test_repo_tree_has_no_drift_against_committed_baseline(self):
-        result = run_effects_analysis(
-            [REPO / "src"],
-            baseline_path=REPO / "lint-effects-baseline.json",
-        )
-        assert result.report.ok, [
-            finding.render() for finding in result.report.findings
+    def test_repo_tree_has_no_drift_against_committed_baseline(
+        self, repo_lint
+    ):
+        assert repo_lint.report.ok, [
+            finding.render() for finding in repo_lint.report.findings
         ]
-        assert result.new == [] and result.stale == []
+        assert repo_lint.new == [] and repo_lint.stale == []
+        # none of the effect-contract families is waived by the baseline
+        assert not [
+            fingerprint
+            for fingerprint in repo_lint.fingerprints
+            if fingerprint[0] in "EMS"
+        ]
 
-    def test_repo_phase_mutations_are_visible_to_the_analysis(self):
+    def test_repo_phase_mutations_are_visible_to_the_analysis(
+        self, repo_lint
+    ):
         # Guard against a vacuously clean self-check: the reference
         # backend's allowed mutations must actually be in the summaries.
-        index = build_index([REPO / "src"])
-        graph = build_call_graph(index)
-        summaries = infer_effects(graph)
+        summaries = repo_lint.summaries
         observe = summaries["repro.sim.backend.ReferenceBackend.observe"]
         assert ("mut", 0, ("engine", "_packets_broadcast")) in (
             observe.effects

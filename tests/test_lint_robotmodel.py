@@ -1,14 +1,14 @@
-"""Tests for ``repro lint --robot-model``: the A-rule conformance tier.
+"""Tests for the A-rule robot-model conformance checks of ``repro lint --all``.
 
 Fixture packages are written under ``tmp_path`` exactly like the
-``--deep``/``--effects`` suites and indexed with the same
+taint-path and effects suites and indexed with the same
 ``build_index`` the CLI uses.  The suite pins every A rule with its
 location-free fingerprint and witness-chain message, the exemptions
 that keep honest algorithms clean (declared state reads, round-reset
 scratch, bool-valued fields, GLOBAL algorithms), the baseline
 round-trip byte-for-byte, stale ``B001`` entries, inline suppression,
 the ``ANALYZER_VERSION`` cache key, the merged ``--all`` CLI mode, the
-self-check of the repository tree against its committed baseline, and
+guards that keep the repository self-check from being vacuous, and
 the static/runtime cross-check: an algorithm with hidden persistent
 state is flagged by ``A001`` *and* demonstrably under-audited by the
 engine's runtime memory accounting.
@@ -20,10 +20,13 @@ import json
 import pathlib
 import textwrap
 
+import pytest
+
 from repro.lint.cli import main as lint_main
 from repro.lint.deep import (
     ModuleCache,
-    run_robot_model_analysis,
+    render_baseline,
+    run_whole_program_analysis,
 )
 from repro.lint.deep.callgraph import _Resolver, build_call_graph
 from repro.lint.deep.effects import infer_effects
@@ -92,6 +95,16 @@ def with_algos(source):
         """
     ) + textwrap.dedent(source)
     return files
+
+
+#: An algorithm whose decide() keeps a counter persistent_state() never
+#: emits (A001).
+HIDDEN_STATE = with_algos("""
+    class SneakyCounter(RobotAlgorithm):
+        def decide(self, observation):
+            self._visits = 1
+            return None
+    """)
 
 
 # ----------------------------------------------------------------------
@@ -438,13 +451,6 @@ class TestA005ObservationMutation:
 
 
 class TestSuppressionAndBaseline:
-    VIOLATION = with_algos("""
-        class SneakyCounter(RobotAlgorithm):
-            def decide(self, observation):
-                self._visits = 1
-                return None
-        """)
-
     def test_inline_suppression_is_honoured(self, tmp_path):
         files = with_algos("""
             class Hushed(RobotAlgorithm):
@@ -453,32 +459,32 @@ class TestSuppressionAndBaseline:
                     return None
             """)
         build(tmp_path, files)
-        result = run_robot_model_analysis(
+        result = run_whole_program_analysis(
             [tmp_path], baseline_path=tmp_path / "baseline.json"
         )
         assert result.report.ok
         assert result.report.suppressed == 1
 
     def test_update_baseline_is_byte_stable(self, tmp_path):
-        build(tmp_path, self.VIOLATION)
+        build(tmp_path, HIDDEN_STATE)
         baseline = tmp_path / "baseline.json"
-        run_robot_model_analysis(
+        run_whole_program_analysis(
             [tmp_path], baseline_path=baseline, update_baseline=True
         )
         first = baseline.read_bytes()
-        run_robot_model_analysis(
+        run_whole_program_analysis(
             [tmp_path], baseline_path=baseline, update_baseline=True
         )
         assert baseline.read_bytes() == first
-        result = run_robot_model_analysis(
+        result = run_whole_program_analysis(
             [tmp_path], baseline_path=baseline
         )
         assert result.report.ok and result.accepted == 1
 
     def test_fixed_violation_reports_stale_entry(self, tmp_path):
-        build(tmp_path, self.VIOLATION)
+        build(tmp_path, HIDDEN_STATE)
         baseline = tmp_path / "baseline.json"
-        run_robot_model_analysis(
+        run_whole_program_analysis(
             [tmp_path], baseline_path=baseline, update_baseline=True
         )
         (tmp_path / "pkg" / "algos.py").write_text(
@@ -493,20 +499,20 @@ class TestSuppressionAndBaseline:
                 """
             ).lstrip("\n")
         )
-        result = run_robot_model_analysis([tmp_path], baseline_path=baseline)
+        result = run_whole_program_analysis([tmp_path], baseline_path=baseline)
         assert not result.report.ok
         assert result.stale == ["A001|pkg.algos.SneakyCounter.decide|_visits"]
         assert result.report.findings[0].code == "B001"
 
     def test_cache_reuse_is_semantics_preserving(self, tmp_path):
-        build(tmp_path, self.VIOLATION)
+        build(tmp_path, HIDDEN_STATE)
         cache = ModuleCache(tmp_path / "cache")
         baseline = tmp_path / "baseline.json"
-        cold = run_robot_model_analysis([tmp_path], baseline_path=baseline)
-        warm = run_robot_model_analysis(
+        cold = run_whole_program_analysis([tmp_path], baseline_path=baseline)
+        warm = run_whole_program_analysis(
             [tmp_path], baseline_path=baseline, cache=cache
         )
-        hot = run_robot_model_analysis(
+        hot = run_whole_program_analysis(
             [tmp_path], baseline_path=baseline, cache=cache
         )
         assert cache.hits > 0
@@ -562,54 +568,19 @@ class TestObservationScopeTable:
 
 
 # ----------------------------------------------------------------------
-# CLI: --robot-model and the merged --all mode
+# CLI: the merged --all mode
 # ----------------------------------------------------------------------
 
 
 class TestRobotModelCli:
-    def _write(self, tmp_path):
-        build(tmp_path, TestSuppressionAndBaseline.VIOLATION)
-
-    def test_drift_then_update_then_clean(self, tmp_path, capsys):
-        self._write(tmp_path)
-        baseline = str(tmp_path / "baseline.json")
-        assert (
-            lint_main(
-                ["--robot-model", "--baseline", baseline, str(tmp_path)]
-            )
-            == 1
-        )
-        out = capsys.readouterr().out
-        assert "A001" in out and "+ new:" in out
-        assert "robot-model analysis:" in out
-        assert (
-            lint_main(
-                [
-                    "--robot-model",
-                    "--baseline",
-                    baseline,
-                    "--update-baseline",
-                    str(tmp_path),
-                ]
-            )
-            == 0
-        )
-        assert "baseline updated" in capsys.readouterr().out
-        assert (
-            lint_main(
-                ["--robot-model", "--baseline", baseline, str(tmp_path)]
-            )
-            == 0
-        )
-        assert "no drift against baseline" in capsys.readouterr().out
-
     def test_json_report_shape(self, tmp_path, capsys):
-        self._write(tmp_path)
+        build(tmp_path, HIDDEN_STATE)
         baseline = str(tmp_path / "baseline.json")
         assert (
             lint_main(
                 [
-                    "--robot-model",
+                    "--all",
+                    "--no-cache",
                     "--json",
                     "--baseline",
                     baseline,
@@ -619,20 +590,16 @@ class TestRobotModelCli:
             == 1
         )
         data = json.loads(capsys.readouterr().out)
-        assert data["kind"] == "reprolint_report"
-        assert [f["code"] for f in data["findings"]] == ["A001"]
-
-    def test_mode_exclusions(self, capsys):
-        assert lint_main(["--robot-model", "--effects"]) == 2
-        assert "separate passes" in capsys.readouterr().err
-        assert lint_main(["--robot-model", "--select", "A"]) == 2
-        assert "--select does not apply" in capsys.readouterr().err
+        tier = data["tiers"]["whole_program"]
+        assert tier["kind"] == "reprolint_report"
+        assert [f["code"] for f in tier["findings"]] == ["A001"]
 
     def test_bad_baseline_file_is_a_usage_error(self, capsys):
         assert (
             lint_main(
                 [
-                    "--robot-model",
+                    "--all",
+                    "--no-cache",
                     "--baseline",
                     str(REPO / "pyproject.toml"),
                     str(REPO / "src"),
@@ -642,12 +609,22 @@ class TestRobotModelCli:
         )
         assert "does not parse as JSON" in capsys.readouterr().err
 
+    def test_mode_exclusions(self, capsys):
+        # The per-family modes are gone: --all is the one whole-program
+        # mode, and it runs every rule, so --select does not combine.
+        for flag in ("--deep", "--effects", "--robot-model"):
+            with pytest.raises(SystemExit) as exit_info:
+                lint_main([flag])
+            assert exit_info.value.code == 2
+        assert lint_main(["--all", "--select", "A"]) == 2
+        assert "--select picks shallow rules" in capsys.readouterr().err
+
     def test_list_rules_mentions_the_a_family(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for code in ("A001", "A002", "A003", "A004", "A005"):
             assert code in out
-        assert "--robot-model" in out
+        assert "run by --all" in out
 
 
 class TestAllCli:
@@ -658,54 +635,42 @@ class TestAllCli:
         monkeypatch.chdir(tmp_path)
         assert lint_main(["--all", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        for header in ("== shallow ==", "== deep ==", "== effects ==",
-                       "== robot-model =="):
+        for header in ("== shallow ==", "== whole-program =="):
             assert header in out
-        assert "robot-model analysis:" in out
+        assert "whole-program analysis:" in out
 
     def test_violation_fails_combined_and_json_merges_tiers(
         self, tmp_path, capsys, monkeypatch
     ):
-        build(tmp_path, TestSuppressionAndBaseline.VIOLATION)
+        build(tmp_path, HIDDEN_STATE)
         monkeypatch.chdir(tmp_path)
         assert lint_main(["--all", "--json", str(tmp_path)]) == 1
         data = json.loads(capsys.readouterr().out)
         assert data["kind"] == "reprolint_all_report"
-        assert set(data["tiers"]) == {
-            "shallow",
-            "deep",
-            "effects",
-            "robot_model",
-        }
+        assert data["format_version"] == 2
+        assert set(data["tiers"]) == {"shallow", "whole_program"}
         assert data["ok"] is False
-        robot = data["tiers"]["robot_model"]
-        assert robot["ok"] is False
-        assert [f["code"] for f in robot["findings"]] == ["A001"]
+        whole = data["tiers"]["whole_program"]
+        assert whole["ok"] is False
+        assert [f["code"] for f in whole["findings"]] == ["A001"]
 
     def test_update_baseline_updates_every_tier(
         self, tmp_path, capsys, monkeypatch
     ):
-        build(tmp_path, TestSuppressionAndBaseline.VIOLATION)
+        build(tmp_path, HIDDEN_STATE)
         monkeypatch.chdir(tmp_path)
         assert lint_main(["--all", "--update-baseline", str(tmp_path)]) == 0
         capsys.readouterr()
-        for name in (
-            "lint-deep-baseline.json",
-            "lint-effects-baseline.json",
-            "lint-robot-baseline.json",
-        ):
-            assert (tmp_path / name).exists()
+        assert sorted(p.name for p in tmp_path.glob("*.json")) == [
+            "lint-baseline.json"
+        ]
         assert lint_main(["--all", str(tmp_path)]) == 0
 
     def test_all_usage_errors(self, capsys):
-        assert lint_main(["--all", "--robot-model"]) == 2
-        assert "--all already runs every tier" in capsys.readouterr().err
-        assert lint_main(["--all", "--baseline", "x.json"]) == 2
-        assert "each tier's default baseline" in capsys.readouterr().err
-        assert lint_main(["--all", "--select", "A"]) == 2
-        assert "--select does not apply" in capsys.readouterr().err
         assert lint_main(["--update-baseline"]) == 2
-        assert "--robot-model or --all" in capsys.readouterr().err
+        assert "require --all" in capsys.readouterr().err
+        assert lint_main(["--baseline", "x.json"]) == 2
+        assert "require --all" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -827,32 +792,32 @@ class TestRuntimeCrossCheck:
 
 
 class TestSelfCheck:
-    def test_repo_tree_has_no_drift_against_committed_baseline(self):
-        result = run_robot_model_analysis(
-            [REPO / "src"],
-            baseline_path=REPO / "lint-robot-baseline.json",
-        )
-        assert result.report.ok, [
-            finding.render() for finding in result.report.findings
+    def test_repo_tree_has_no_drift_against_committed_baseline(
+        self, repo_lint
+    ):
+        assert repo_lint.report.ok, [
+            finding.render() for finding in repo_lint.report.findings
         ]
-        assert result.new == [] and result.stale == []
+        assert repo_lint.new == [] and repo_lint.stale == []
+        # no robot-model finding is waived by the baseline
+        assert not [
+            fingerprint
+            for fingerprint in repo_lint.fingerprints
+            if fingerprint.startswith("A")
+        ]
 
-    def test_committed_baseline_regenerates_byte_identically(self, tmp_path):
-        regenerated = tmp_path / "regen.json"
-        run_robot_model_analysis(
-            [REPO / "src"],
-            baseline_path=regenerated,
-            update_baseline=True,
-        )
-        assert regenerated.read_bytes() == (
-            REPO / "lint-robot-baseline.json"
-        ).read_bytes()
+    def test_committed_baseline_regenerates_byte_identically(
+        self, repo_lint
+    ):
+        # --update-baseline writes exactly render_baseline(fingerprints)
+        assert render_baseline(repo_lint.fingerprints) == (
+            REPO / "lint-baseline.json"
+        ).read_text()
 
-    def test_repo_algorithms_are_actually_discovered(self):
+    def test_repo_algorithms_are_actually_discovered(self, repo_lint):
         # Guard against a vacuously clean self-check: the tier must see
         # the shipped algorithm classes and their state writes.
-        index = build_index([REPO / "src"])
-        graph = build_call_graph(index)
+        index = repo_lint.call_graph.index
         resolver = _Resolver(index)
         discovered = {
             name
@@ -861,9 +826,8 @@ class TestSelfCheck:
         }
         assert "repro.baselines.dfs_local.DfsDispersionLocal" in discovered
         assert "repro.core.dispersion.DispersionDynamic" in discovered
-        assert len(discovered) >= 10
-        summaries = infer_effects(graph)
-        decide = summaries[
+        assert len(discovered) >= 17
+        decide = repo_lint.summaries[
             "repro.baselines.dfs_local.DfsDispersionLocal.decide"
         ]
         # The settle write is visible to A001; the class stays clean
