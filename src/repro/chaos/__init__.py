@@ -5,18 +5,18 @@ adversary's per-round rewiring) treat faults as *schedulable events* the
 algorithm must survive; this package applies the same discipline to the
 reproduction's own infrastructure.  A :class:`~repro.chaos.plan.FaultPlan`
 -- pure data, like a :class:`~repro.sim.spec.RunSpec` -- names every
-fault to inject at three layers:
+fault to inject at four layers:
 
-* **store** (:class:`~repro.chaos.store.FaultyStore`) -- corrupt cache
-  entries on the read path; the store's integrity layer must detect,
-  quarantine and recompute;
+* **store** (:class:`~repro.chaos.fs.ChaosVFS`'s read path) -- corrupt
+  cache entries as the store reads them back; the store's integrity
+  layer must detect, quarantine and recompute;
 * **runner** (:class:`~repro.chaos.runner.ChaosPoolRunner`) -- crash,
   hang or fail worker units; the pool's retry/restart machinery must
   absorb the loss;
 * **engine** (:class:`~repro.chaos.engine_faults.PhaseFaultObserver`) --
   raise from a named phase hook mid-run;
-* **filesystem** (:class:`~repro.chaos.fs.ChaosVFS`) -- sabotage the
-  store's own write path at named syscall boundaries: ``EIO`` /
+* **filesystem** (:class:`~repro.chaos.fs.ChaosVFS`'s write path) --
+  sabotage the store's own writes at named syscall boundaries: ``EIO`` /
   ``ENOSPC``, torn writes, lost renames, and simulated crashes, with a
   page-cache model that materializes adversarial post-crash disk
   images.
@@ -73,7 +73,6 @@ from repro.chaos.replay import (
     run_crash_matrix,
 )
 from repro.chaos.runner import ChaosPoolRunner
-from repro.chaos.store import FaultyStore, corrupt_entry_file
 from repro.chaos.engine_faults import PhaseFaultObserver
 
 __all__ = [
@@ -91,7 +90,6 @@ __all__ = [
     "FAILURE_STREAM_KIND",
     "FailureRecord",
     "FaultPlan",
-    "FaultyStore",
     "FS_FAULT_KINDS",
     "FS_OPS",
     "FsFault",
@@ -105,7 +103,6 @@ __all__ = [
     "StoreFault",
     "VfsOp",
     "chaos_vfs_for_plan",
-    "corrupt_entry_file",
     "diff_failure_streams",
     "load_failure_stream",
     "plan_digest",

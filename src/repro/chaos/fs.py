@@ -1,14 +1,14 @@
-"""Filesystem fault injection: a VirtualFS that sabotages store ops.
+"""Filesystem fault injection: a VirtualFS that sabotages store I/O.
 
 :class:`ChaosVFS` substitutes the :class:`~repro.sim.store.VirtualFS` a
-:class:`~repro.sim.store.RunStore` routes every mutation through, which
-turns the store's write path into an enumerable, addressable *op
-stream*: op ``k`` is always the same operation on the same path for the
-same workload, so a seeded :class:`~repro.chaos.plan.FsFault` -- or the
-crash-point harness's ``crash_at=k`` -- names one exact syscall
-boundary, deterministically.
+:class:`~repro.sim.store.RunStore` routes every mutation and its entry
+read through, which turns the store's write path into an enumerable,
+addressable *op stream*: op ``k`` is always the same operation on the
+same path for the same workload, so a seeded
+:class:`~repro.chaos.plan.FsFault` -- or the crash-point harness's
+``crash_at=k`` -- names one exact syscall boundary, deterministically.
 
-Two injection styles share the instance:
+Three injection styles share the instance:
 
 * **plan faults** -- each :class:`~repro.chaos.plan.FsFault` matched
   against ``(op name, writer tag)`` fires on its ``op_index``-th
@@ -22,6 +22,11 @@ Two injection styles share the instance:
 * **crash-points** -- ``crash_at=k`` raises :class:`SimulatedCrash`
   immediately before op ``k`` executes, which is how the replay
   harness's crash matrix visits *every* boundary of a workload in turn.
+* **store faults** -- each :class:`~repro.chaos.plan.StoreFault`
+  damages the bytes of the ``op_index``-th entry read that finds a
+  stored entry (:func:`corrupt_entry_bytes`), writing the damage back
+  so quarantine keeps it.  Reads are counted apart from the op stream:
+  they are never crash points and never match an ``FsFault``.
 
 Beyond injecting, the shim *models the page cache*: writes are volatile
 until ``fsync_file``, renames until ``fsync_dir`` of the destination
@@ -47,13 +52,15 @@ point.
 from __future__ import annotations
 
 import errno
+import json
 import os
 import pathlib
 import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.chaos.plan import FsFault
+from repro.chaos.failures import FailureRecord
+from repro.chaos.plan import FaultPlan, FsFault, StoreFault
 from repro.sim.store import VirtualFS
 
 #: The crash-image policies :meth:`ChaosVFS.apply_crash_image` can
@@ -92,11 +99,14 @@ class ChaosVFS(VirtualFS):
     """A :class:`~repro.sim.store.VirtualFS` with planned sabotage.
 
     ``faults`` are the plan's :class:`~repro.chaos.plan.FsFault`
-    entries; ``seed`` drives every stochastic choice (torn-write
-    lengths, crash-image tear points) through derived
-    ``random.Random`` instances, never ambient state.  ``crash_at``
-    arms the crash-point mode: :class:`SimulatedCrash` is raised
-    immediately before the op with that stream index executes.
+    entries and ``store_faults`` its
+    :class:`~repro.chaos.plan.StoreFault` entries, whose injections
+    accumulate in :attr:`failures`; ``seed`` drives every stochastic
+    choice (torn-write lengths, crash-image tear points, bit-flip
+    positions) through derived ``random.Random`` instances, never
+    ambient state.  ``crash_at`` arms the crash-point mode:
+    :class:`SimulatedCrash` is raised immediately before the op with
+    that stream index executes.
 
     One instance should serve one simulated process: the op counter,
     volatile-state model and fault budgets all reset with the instance.
@@ -106,13 +116,19 @@ class ChaosVFS(VirtualFS):
         self,
         faults: Sequence[FsFault] = (),
         *,
+        store_faults: Sequence[StoreFault] = (),
         seed: int = 0,
         crash_at: Optional[int] = None,
     ) -> None:
         self.faults = tuple(faults)
+        self.store_faults = tuple(store_faults)
         self.seed = seed
         self.crash_at = crash_at
         self.ops: List[VfsOp] = []
+        self.failures: List[FailureRecord] = []
+        #: Entry reads that returned bytes so far (the store-fault
+        #: ``op_index`` counter; a cold miss never gets this far).
+        self._stored_reads = 0
         #: Ops that matched each fault so far (fault index -> count).
         self._matches: Dict[int, int] = {}
         #: Data written but not yet fsynced: path -> whether a
@@ -255,6 +271,34 @@ class ChaosVFS(VirtualFS):
             if record["dst"] != str(path)
         ]
 
+    def read_bytes(self, path: pathlib.Path, *, writer: str = "") -> bytes:
+        """Read an entry, damaged first if a store fault targets it.
+
+        Not an op of the stream: no crash point, no ``FsFault`` match.
+        """
+        data = super().read_bytes(path, writer=writer)
+        op = self._stored_reads
+        self._stored_reads += 1
+        for index, fault in enumerate(self.store_faults):
+            if fault.op_index != op or not data:
+                continue
+            # The plan-level store seed (docs/robustness.md), not
+            # _rng's "chaosfs:" scope: golden streams depend on it.
+            rng = random.Random(f"chaos:{self.seed}:store:{index}")
+            data = corrupt_entry_bytes(data, fault.kind, rng)
+            path.write_bytes(data)
+            self.failures.append(
+                FailureRecord(
+                    unit=op,
+                    attempt=0,
+                    kind="corrupt",
+                    detail=(
+                        f"injected {fault.kind} into entry {path.stem[:12]}"
+                    ),
+                )
+            )
+        return data
+
     # ------------------------------------------------------------------
     # Crash images
     # ------------------------------------------------------------------
@@ -326,9 +370,42 @@ class _TornWrite(Exception):
         self.firing = firing
 
 
-def chaos_vfs_for_plan(plan: Any) -> Optional[ChaosVFS]:
-    """The :class:`ChaosVFS` a plan's ``fs`` layer calls for, if any."""
-    faults = getattr(plan, "fs", ())
-    if not faults:
+def corrupt_entry_bytes(data: bytes, kind: str, rng: random.Random) -> bytes:
+    """``data`` (a stored entry's bytes) damaged by ``kind``.
+
+    ``bit_flip`` flips one bit at an ``rng``-chosen offset inside the
+    checksummed region (at or after the ``"spec"`` key, so the flip can
+    never land in provenance metadata the checksum ignores);
+    ``truncate`` cuts at the midpoint; ``stale_salt`` rewrites the
+    recorded salt (checksum and spec-digest validation must catch the
+    lie); ``unreadable`` replaces the head with bytes that do not
+    decode as UTF-8.
+    """
+    if kind == "truncate":
+        return data[: len(data) // 2]
+    if kind == "unreadable":
+        return b"\xff\xfe" + data[:32]
+    if kind == "stale_salt":
+        try:
+            payload = json.loads(data.decode("utf-8"))
+            payload["salt"] = str(payload.get("salt", "")) + "-tampered"
+        except ValueError:
+            # Already unparsable (double-faulted entry): truncate instead.
+            return data[: len(data) // 2]
+        return json.dumps(
+            payload, separators=(",", ":"), sort_keys=True
+        ).encode("utf-8")
+    # bit_flip
+    anchor = data.find(b'"spec"')
+    start = anchor if 0 <= anchor < len(data) else len(data) // 2
+    offset = rng.randrange(start, len(data))
+    flipped = data[offset] ^ (1 << rng.randrange(8))
+    return data[:offset] + bytes([flipped]) + data[offset + 1:]
+
+
+def chaos_vfs_for_plan(plan: FaultPlan) -> Optional[ChaosVFS]:
+    """The :class:`ChaosVFS` a plan's ``fs`` and ``store`` layers call
+    for, if either is non-empty."""
+    if not plan.fs and not plan.store:
         return None
-    return ChaosVFS(faults, seed=int(getattr(plan, "seed", 0)))
+    return ChaosVFS(plan.fs, store_faults=plan.store, seed=plan.seed)

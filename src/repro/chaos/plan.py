@@ -7,11 +7,12 @@ fully determines a chaos replay -- same plan, same campaign, same
 failure stream, same results -- which is what lets the chaos suite
 assert convergence as a golden test instead of eyeballing flaky logs.
 
-Faults come in three layers, mirroring the execution stack:
+Faults come in four layers, mirroring the execution stack:
 
 * :class:`StoreFault` -- corrupts one on-disk store entry (bit flip,
-  truncation, stale salt, undecodable bytes) immediately before it is
-  read.  ``op_index`` counts, per store instance, the reads that find an
+  truncation, stale salt, undecodable bytes) as it is read, in the read
+  path of the parent-side store's :class:`repro.chaos.fs.ChaosVFS`.
+  ``op_index`` counts, per store instance, the reads that find an
   existing entry: fault ``op_index=2`` hits the third stored entry the
   replay reads back.
 * :class:`RunnerFault` -- makes a dispatched work unit misbehave:

@@ -6,13 +6,14 @@ chaos`` CLI drives.  It executes the same workload three times:
 1. **baseline** -- serially, no store, no faults: the ground truth
    fingerprint;
 2. **cold chaos** -- through the full chaos stack (recording wrapper ->
-   caching over a :class:`~repro.chaos.store.FaultyStore` -> a
-   :class:`~repro.chaos.runner.ChaosPoolRunner` whose workers write
-   through a clean store at the same root).  Runner and engine faults
-   fire here, while the store populates;
-3. **warm chaos** -- the same stack again.  Reads now find stored
-   entries, so the plan's store faults bite: corrupted entries must be
-   detected, quarantined and recomputed.
+   caching over a :class:`~repro.sim.store.RunStore` whose
+   :class:`~repro.chaos.fs.ChaosVFS` carries the plan's store and fs
+   faults -> a :class:`~repro.chaos.runner.ChaosPoolRunner` whose
+   workers write through a clean store at the same root).  Runner,
+   engine and fs faults fire here, while the store populates;
+3. **warm chaos** -- the same stack again.  Entry reads now find stored
+   entries, so the plan's store faults bite in the ChaosVFS read path:
+   corrupted entries must be detected, quarantined and recomputed.
 
 Every pass's results are folded into a sha256 *fingerprint* (canonical
 JSON of each :class:`~repro.sim.metrics.RunResult`, in execution order),
@@ -57,10 +58,15 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.chaos.failures import FailureRecord
-from repro.chaos.fs import CRASH_IMAGE_MODES, ChaosVFS, SimulatedCrash
+from repro.chaos.fs import (
+    CRASH_IMAGE_MODES,
+    ChaosVFS,
+    SimulatedCrash,
+    chaos_vfs_for_plan,
+    corrupt_entry_bytes,
+)
 from repro.chaos.plan import FaultPlan, plan_digest
 from repro.chaos.runner import ChaosPoolRunner
-from repro.chaos.store import FaultyStore, corrupt_entry_file
 from repro.sim.metrics import RunResult
 from repro.sim.runner import Runner, SerialRunner
 from repro.sim.spec import RunSpec, canonical_json, make_spec
@@ -234,7 +240,10 @@ def replay_plan(
         _run_workload(baseline, scale, specs)
         baseline_fingerprint = baseline.fingerprint
 
-    faulty = FaultyStore(store_root, plan)
+    # Only the parent-side store injects: its entry reads are counted
+    # serially, so store faults land deterministically.
+    vfs = chaos_vfs_for_plan(plan)
+    store = RunStore(store_root, vfs=vfs)
     # Plans with an fs layer disable worker write-through, so every
     # store write funnels through the parent-side CachingRunner path --
     # the op stream the plan's FsFaults address.
@@ -243,9 +252,9 @@ def replay_plan(
         workdir,
         max_workers=jobs,
         timeout=timeout,
-        store=None if plan.fs else RunStore(store_root, salt=faulty.salt),
+        store=None if plan.fs else RunStore(store_root),
     )
-    chaos_stack = CachingRunner(pool, faulty)
+    chaos_stack = CachingRunner(pool, store)
     try:
         cold = RecordingRunner(chaos_stack)
         cold_passed = _run_workload(cold, scale, specs)
@@ -262,11 +271,11 @@ def replay_plan(
         baseline_fingerprint=baseline_fingerprint,
         cold_fingerprint=cold.fingerprint,
         warm_fingerprint=warm.fingerprint,
-        corrupt_entries=faulty.corrupt,
+        corrupt_entries=store.corrupt,
         campaign_passed=cold_passed and warm_passed,
         failures=sorted(
             list(pool.failures)
-            + list(faulty.failures)
+            + (vfs.failures if vfs is not None else [])
             + list(chaos_stack.failures)
         ),
     )
@@ -343,8 +352,12 @@ class _RecomputeScenario(_MatrixScenario):
         for spec, result in zip(self.specs, self.results):
             store.put(spec, result)
         victim = store.path_for(store.digest(self.specs[0]))
-        corrupt_entry_file(
-            victim, "bit_flip", random.Random("crash-matrix:recompute")
+        victim.write_bytes(
+            corrupt_entry_bytes(
+                victim.read_bytes(),
+                "bit_flip",
+                random.Random("crash-matrix:recompute"),
+            )
         )
 
     def execute(self, store: RunStore) -> None:

@@ -46,15 +46,16 @@ just a killed process) may take with it:
   the parent directory after it.  A published entry is durable the
   moment ``put`` returns; torn published entries are impossible.
 
-Every filesystem mutation goes through a :class:`VirtualFS`, a named-op
-surface (:mod:`repro.chaos.fs` substitutes a fault-injecting one), and
-is tagged with the owning store's ``writer`` address, so a chaos plan
-can target e.g. the parent-side :class:`CachingRunner` write path
-specifically.  :meth:`RunStore.recover` sweeps crash debris -- stale
-``tmp/`` staging files and leftover gc tombstones; the stale-tmp sweep
-also runs lazily on a store's first write.  :meth:`RunStore.gc` deletes
-in two phases (rename to ``*.tomb``, then unlink) so a crash mid-gc
-never races a concurrent writer republishing the same digest.
+Every filesystem mutation, and the entry read of :meth:`RunStore.get`,
+goes through a :class:`VirtualFS`, a named-op surface
+(:mod:`repro.chaos.fs` substitutes a fault-injecting one), and is tagged
+with the owning store's ``writer`` address, so a chaos plan can target
+e.g. the parent-side :class:`CachingRunner` write path specifically.
+:meth:`RunStore.recover` sweeps crash debris -- stale ``tmp/`` staging
+files and leftover gc tombstones; the stale-tmp sweep also runs lazily
+on a store's first write.  :meth:`RunStore.gc` deletes in two phases
+(rename to ``*.tomb``, then unlink) so a crash mid-gc never races a
+concurrent writer republishing the same digest.
 
 :class:`CachingRunner` is the read-through/write-through adapter: it
 wraps any :class:`~repro.sim.runner.Runner` backend, serves hits from
@@ -132,7 +133,10 @@ class VirtualFS:
     the real operation; :class:`repro.chaos.fs.ChaosVFS` overrides it to
     inject torn writes, ``EIO``/``ENOSPC``, lost renames and
     crash-points at any op boundary, which is what makes the write path
-    an enumerable *op stream* rather than opaque side effects.
+    an enumerable *op stream* rather than opaque side effects.  The
+    entry read of :meth:`RunStore.get` (:meth:`read_bytes`) goes
+    through the same instance, so store corruption is injected there
+    too, but reads never enter the op stream.
     """
 
     def mkdir(self, path: pathlib.Path, *, writer: str = "") -> None:
@@ -171,6 +175,10 @@ class VirtualFS:
     def unlink(self, path: pathlib.Path, *, writer: str = "") -> None:
         """Remove ``path``."""
         os.unlink(path)
+
+    def read_bytes(self, path: pathlib.Path, *, writer: str = "") -> bytes:
+        """Read ``path`` whole (the entry read of :meth:`RunStore.get`)."""
+        return path.read_bytes()
 
 
 #: The shared pass-through instance every un-instrumented store uses.
@@ -331,13 +339,14 @@ class RunStore:
 
     ``durability`` selects the write-path crash guarantee (``"fast"`` or
     ``"strict"``, see the module docstring).  ``vfs`` substitutes the
-    :class:`VirtualFS` every filesystem mutation routes through (chaos
-    injection); ``writer`` is the address tag those ops carry
-    (:class:`CachingRunner` tags its store ``"parent"``, pool workers
-    tag theirs ``"worker"``).  ``clock`` is the provenance timestamp
-    source (default ``time.time``); it feeds ``created_at`` and age
-    arithmetic only, never a digest, and all age checks tolerate a
-    non-monotonic clock (an mtime in the future reads as age zero).
+    :class:`VirtualFS` every filesystem mutation and the entry read of
+    :meth:`get` route through (chaos injection); ``writer`` is the
+    address tag those ops carry (:class:`CachingRunner` tags its store
+    ``"parent"``, pool workers tag theirs ``"worker"``).  ``clock`` is
+    the provenance timestamp source (default ``time.time``); it feeds
+    ``created_at`` and age arithmetic only, never a digest, and all age
+    checks tolerate a non-monotonic clock (an mtime in the future reads
+    as age zero).
 
     Session counters (``hits`` / ``misses`` / ``writes`` /
     ``stale_tmp_removed`` / ``tombstones_swept``) accumulate per store
@@ -460,7 +469,7 @@ class RunStore:
         digest = self.digest(spec)
         path = self.path_for(digest)
         try:
-            raw = path.read_bytes()
+            raw = self.vfs.read_bytes(path, writer=self.writer)
         except OSError:
             self.misses += 1
             return None

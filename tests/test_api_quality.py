@@ -48,7 +48,6 @@ PUBLIC_MODULES = [
     "repro.chaos.plan",
     "repro.chaos.replay",
     "repro.chaos.runner",
-    "repro.chaos.store",
     "repro.core",
     "repro.core.components",
     "repro.core.spanning_tree",

@@ -21,11 +21,11 @@ from repro.chaos import (
     EngineFault,
     FailureRecord,
     FaultPlan,
-    FaultyStore,
     PhaseFaultObserver,
     PlanError,
     RunnerFault,
     StoreFault,
+    chaos_vfs_for_plan,
     diff_failure_streams,
     load_failure_stream,
     plan_digest,
@@ -124,6 +124,8 @@ class TestFaultPlan:
 
 
 class TestFaultyStore:
+    """A store whose ChaosVFS carries the plan's store faults."""
+
     @pytest.mark.parametrize(
         "kind", ["bit_flip", "truncate", "stale_salt", "unreadable"]
     )
@@ -132,16 +134,20 @@ class TestFaultyStore:
         spec = _spec()
         result = repro.execute(spec)
         clean.put(spec, result)
+        stored = clean.path_for(clean.digest(spec)).read_bytes()
         plan = FaultPlan(seed=5, store=(StoreFault(kind=kind, op_index=0),))
-        faulty = FaultyStore(tmp_path, plan)
+        vfs = chaos_vfs_for_plan(plan)
+        faulty = RunStore(tmp_path, vfs=vfs)
         assert faulty.get(spec) is None  # corrupted, detected, missed
         assert faulty.corrupt == 1
-        assert [r.kind for r in faulty.failure_records] == ["corrupt"]
-        assert kind in faulty.failure_records[0].detail
-        # The entry was quarantined; a recompute-and-put repairs it.
-        assert (faulty.quarantine_dir / faulty.path_for(
+        assert [r.kind for r in vfs.failures] == ["corrupt"]
+        assert kind in vfs.failures[0].detail
+        # The entry was quarantined with the damaged bytes; a
+        # recompute-and-put repairs it.
+        quarantined = faulty.quarantine_dir / faulty.path_for(
             faulty.digest(spec)
-        ).name).exists()
+        ).name
+        assert quarantined.read_bytes() != stored
         faulty.put(spec, result)
         assert faulty.get(spec) == result
 
@@ -153,7 +159,7 @@ class TestFaultyStore:
         # Fault at op 1: the *second* read that finds an entry.  The cold
         # miss of specs[0] must not consume it.
         plan = FaultPlan(seed=0, store=(StoreFault("truncate", 1),))
-        faulty = FaultyStore(tmp_path, plan)
+        faulty = RunStore(tmp_path, vfs=chaos_vfs_for_plan(plan))
         assert faulty.get(specs[0]) is None  # plain miss, no fault burned
         assert faulty.get(specs[1]) is not None  # op 0: untouched
         assert faulty.get(specs[2]) is None  # op 1: corrupted
@@ -349,14 +355,14 @@ class TestCampaignFailureReporting:
         plan = FaultPlan(
             seed=6, runner=(RunnerFault("transient", unit_index=1),)
         )
-        faulty = FaultyStore(store_root, plan)
+        store = RunStore(store_root, vfs=chaos_vfs_for_plan(plan))
         with ChaosPoolRunner(
             plan,
             tmp_path / "claims",
             max_workers=2,
-            store=RunStore(store_root, salt=faulty.salt),
+            store=RunStore(store_root),
         ) as pool:
-            report = run_campaign("quick", runner=CachingRunner(pool, faulty))
+            report = run_campaign("quick", runner=CachingRunner(pool, store))
         assert report.all_passed
         assert [f["kind"] for f in report.failures] == ["transient"]
         assert report.to_dict()["failures"] == report.failures

@@ -9,8 +9,11 @@ Covers the crash-consistency contracts the ISSUE pins:
   stream: ``eio``/``enospc`` fire as ``OSError`` at the addressed op,
   torn writes persist a seeded prefix before crashing, crash images
   materialize the post-crash states a real power loss could leave;
+* the entry read of ``RunStore.get`` goes through the store's
+  :class:`VirtualFS` but never enters the op stream;
 * the crash matrix recovers at *every* op boundary of the write,
-  recompute and gc workloads, under both durability modes;
+  recompute and gc workloads, under both durability modes, and each
+  cell's op-stream length is pinned;
 * an ENOSPC mid-campaign degrades to a structured ``io``
   :class:`FailureRecord` and a converged warm resume -- never a wrong
   or missing result;
@@ -46,6 +49,7 @@ from repro.sim.store import (
     STALE_TMP_GRACE_SECONDS,
     CachingRunner,
     RunStore,
+    VirtualFS,
 )
 from repro.sim.traceio import run_result_to_dict
 
@@ -198,6 +202,38 @@ class TestChaosVFS:
     def test_unknown_image_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             ChaosVFS().apply_crash_image("rollback")
+
+
+class TestReadSeam:
+    def test_every_get_reads_once_through_the_vfs(self, tmp_path):
+        class RecordingFS(VirtualFS):
+            def __init__(self):
+                self.reads = []
+
+            def read_bytes(self, path, *, writer=""):
+                self.reads.append(path)
+                return super().read_bytes(path, writer=writer)
+
+        vfs = RecordingFS()
+        store = RunStore(tmp_path, vfs=vfs)
+        spec = _spec()
+        entry = store.path_for(store.digest(spec))
+        assert store.get(spec) is None  # miss
+        assert vfs.reads == [entry]
+        result = repro.execute(spec)
+        store.put(spec, result)
+        assert store.get(spec) == result  # hit
+        assert vfs.reads == [entry, entry]
+
+    def test_reads_are_not_ops_of_the_stream(self, tmp_path):
+        spec = _spec()
+        result = repro.execute(spec)
+        RunStore(tmp_path).put(spec, result)
+        vfs = ChaosVFS([FsFault(kind="eio", op="any", op_index=0)])
+        store = RunStore(tmp_path, vfs=vfs)
+        assert store.get(spec) == result
+        assert store.get(spec) == result
+        assert vfs.op_count == 0
 
 
 class TestDurableStore:
@@ -432,8 +468,27 @@ class TestCrashMatrix:
             "recompute",
             "gc-compaction",
         }
-        assert report.crash_points > 0
-        assert report.images_checked > 0
+        # Each cell's op-stream length and the images recovery has to
+        # re-check.  Any op entering or leaving the stream (a read
+        # leaking into it, say) moves these numbers.
+        cells = {
+            (cell["durability"], cell["scenario"]): (
+                cell["crash_points"],
+                cell["images_checked"],
+                cell["images_skipped"],
+            )
+            for cell in report.cells
+        }
+        assert cells == {
+            ("fast", "store-write"): (12, 30, 6),
+            ("fast", "recompute"): (6, 11, 7),
+            ("fast", "gc-compaction"): (8, 15, 9),
+            ("strict", "store-write"): (18, 27, 27),
+            ("strict", "recompute"): (8, 15, 9),
+            ("strict", "gc-compaction"): (8, 15, 9),
+        }
+        assert report.crash_points == 60
+        assert report.images_checked == 113
         data = report.to_dict()
         assert data["ok"] is True
         assert data["kind"] == "crash_matrix_report"
@@ -459,3 +514,4 @@ class TestCrashMatrix:
         )
         assert adversarial == 36
         assert write_cell["images_skipped"] == adversarial - 9
+
