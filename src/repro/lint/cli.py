@@ -12,9 +12,14 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
-from repro.lint.engine import lint_paths
+from repro.lint.engine import (
+    LoadedModule,
+    iter_python_files,
+    lint_paths,
+    load_modules,
+)
 from repro.lint.reporters import (
     render_all_json,
     render_json,
@@ -76,9 +81,25 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="with --all: re-parse every module instead of consulting "
-        "the .lint-cache AST cache",
+        help="accepted for compatibility; lint keeps no cache",
     )
+
+
+def _parsed_under(
+    modules: List[LoadedModule], roots: Iterable[str]
+) -> List[LoadedModule]:
+    """The loaded modules under ``roots`` that parsed, in load order.
+
+    ``roots`` lie inside the shallow scan's roots, so nothing is read
+    twice; a file that does not parse is left to the shallow tier,
+    which reports its one ``P001``.
+    """
+    wanted = {path.as_posix() for path in iter_python_files(roots)}
+    return [
+        module
+        for module in modules
+        if module.path in wanted and module.parse_error is None
+    ]
 
 
 def _run_all(args: argparse.Namespace) -> int:
@@ -86,20 +107,20 @@ def _run_all(args: argparse.Namespace) -> int:
     from repro.lint.deep import (
         DEEP_DEFAULT_PATHS,
         DEFAULT_BASELINE_PATH,
-        DEFAULT_CACHE_DIR,
         BaselineError,
-        ModuleCache,
         render_deep_summary,
         run_whole_program_analysis,
     )
 
     try:
-        shallow = lint_paths(args.paths or SHALLOW_DEFAULT_PATHS)
+        # One load serves both tiers: each file is read, parsed and
+        # tokenized once per run.
+        modules = load_modules(args.paths or SHALLOW_DEFAULT_PATHS)
+        shallow = lint_paths(modules)
         result = run_whole_program_analysis(
-            args.paths or DEEP_DEFAULT_PATHS,
+            _parsed_under(modules, args.paths or DEEP_DEFAULT_PATHS),
             baseline_path=args.baseline or DEFAULT_BASELINE_PATH,
             update_baseline=args.update_baseline,
-            cache=None if args.no_cache else ModuleCache(DEFAULT_CACHE_DIR),
         )
     except (FileNotFoundError, BaselineError) as error:
         print(f"repro lint: {error}", file=sys.stderr)
@@ -122,8 +143,8 @@ def _run_all(args: argparse.Namespace) -> int:
         print("== whole-program ==")
         print(render_text(result.report))
         print(render_deep_summary(result))
-    # After --update-baseline only P001 parse errors (never baselined)
-    # can remain in the whole-program report, so the exit is honest.
+    # After --update-baseline the whole-program report is empty; a
+    # broken file's P001 (never baselined) still fails the shallow tier.
     return 0 if shallow.ok and result.report.ok else 1
 
 

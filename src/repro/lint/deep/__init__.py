@@ -3,8 +3,9 @@
 Layers, bottom to top (the index, call graph and effect summaries are
 built once per run and shared by every checker above them):
 
-* :mod:`~repro.lint.deep.modindex` -- parse every module once, index
-  definitions, imports, aliases and registry dicts;
+* :mod:`~repro.lint.deep.modindex` -- index the modules the shared
+  loader (:func:`repro.lint.engine.load_modules`) read, parsed and
+  tokenized once: definitions, imports, aliases and registry dicts;
 * :mod:`~repro.lint.deep.callgraph` -- resolve calls (including
   ``self.`` dispatch, re-exports and registry factories) into a
   whole-program call graph;
@@ -19,8 +20,6 @@ built once per run and shared by every checker above them):
   evaluated over those summaries;
 * :mod:`~repro.lint.deep.robotmodel` -- the A rule family: robot-model
   conformance of algorithm classes;
-* :mod:`~repro.lint.deep.cache` -- content-addressed AST cache that
-  lets repeated runs skip re-parsing unchanged modules;
 * :mod:`~repro.lint.deep.baseline` -- the accepted-fingerprint snapshot
   that turns absolute findings into a drift gate;
 * :mod:`~repro.lint.deep.analysis` -- the one driver the CLI calls.
@@ -41,12 +40,6 @@ from repro.lint.deep.baseline import (
     load_baseline,
     render_baseline,
     write_baseline,
-)
-from repro.lint.deep.cache import (
-    ANALYZER_VERSION,
-    CACHE_FORMAT_VERSION,
-    DEFAULT_CACHE_DIR,
-    ModuleCache,
 )
 from repro.lint.deep.contracts import check_contracts
 from repro.lint.deep.robotmodel import check_robot_model
@@ -74,22 +67,18 @@ from repro.lint.deep.taint import (
 )
 
 __all__ = [
-    "ANALYZER_VERSION",
     "BASELINE_FORMAT_VERSION",
     "BASELINE_KIND",
     "BaselineError",
-    "CACHE_FORMAT_VERSION",
     "CORE_PATHS",
     "CallGraph",
     "CallSite",
     "ClassInfo",
     "DEEP_DEFAULT_PATHS",
     "DEFAULT_BASELINE_PATH",
-    "DEFAULT_CACHE_DIR",
     "DeepResult",
     "FunctionEffects",
     "FunctionInfo",
-    "ModuleCache",
     "ModuleInfo",
     "ProjectIndex",
     "Seed",

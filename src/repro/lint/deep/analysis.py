@@ -1,6 +1,6 @@
 """The whole-program driver behind ``repro lint --all``.
 
-Glues the subsystem together in one pass: index the tree
+Glues the subsystem together in one pass: index the loaded modules
 (:mod:`~repro.lint.deep.modindex`), build the call graph
 (:mod:`~repro.lint.deep.callgraph`) and infer effect summaries
 (:mod:`~repro.lint.deep.effects`) once each, then run every checker
@@ -16,16 +16,16 @@ The outcome is an ordinary :class:`~repro.lint.engine.LintReport`, so
 the existing text/JSON reporters and exit-code convention apply
 unchanged; what the report *contains* is only the drift -- new findings
 not in the baseline, plus ``B001`` entries for baseline fingerprints the
-tree no longer produces.  Parse failures surface as ``P001`` exactly
-like the shallow engine and are never baselined: an unparseable file
-can't be proven contract-clean.
+tree no longer produces.  Parse failures surface as the loader's
+``P001`` finding, exactly as in the shallow engine, and are never
+baselined: an unparseable file can't be proven contract-clean.
 """
 
 from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.lint.deep.baseline import (
     DEFAULT_BASELINE_PATH,
@@ -34,7 +34,6 @@ from repro.lint.deep.baseline import (
     load_baseline,
     write_baseline,
 )
-from repro.lint.deep.cache import ModuleCache
 from repro.lint.deep.callgraph import CallGraph, build_call_graph
 from repro.lint.deep.concurrency import check_fork_safety
 from repro.lint.deep.contracts import check_contracts
@@ -42,7 +41,7 @@ from repro.lint.deep.effects import FunctionEffects, infer_effects
 from repro.lint.deep.modindex import ProjectIndex, build_index
 from repro.lint.deep.robotmodel import check_robot_model
 from repro.lint.deep.taint import TAINT_CODE, trace_taint_paths
-from repro.lint.engine import PARSE_ERROR_CODE, LintReport, _suppressions
+from repro.lint.engine import LintReport, Target, is_suppressed
 from repro.lint.findings import Finding
 
 #: Default scan roots for a whole-program run (the analysis wants the
@@ -71,36 +70,6 @@ class DeepResult:
     summaries: Dict[str, FunctionEffects] = field(default_factory=dict)
 
 
-def _suppressed(
-    tables: Dict[str, Dict[int, FrozenSet[str]]], finding: Finding
-) -> bool:
-    table = tables.get(finding.path)
-    if table is None:
-        return False
-    codes = table.get(finding.line)
-    if codes is None:
-        return False
-    return "*" in codes or finding.code in codes
-
-
-def _report_for(index: ProjectIndex) -> LintReport:
-    """A fresh report pre-seeded with the tree's ``P001`` parse errors."""
-    report = LintReport(
-        files_scanned=index.files_indexed + len(index.parse_errors)
-    )
-    for display, lineno, message in index.parse_errors:
-        report.findings.append(
-            Finding(
-                path=display,
-                line=lineno,
-                column=1,
-                code=PARSE_ERROR_CODE,
-                message=f"file does not parse: {message}",
-            )
-        )
-    return report
-
-
 def _reconcile(
     result: DeepResult,
     candidates: List[Tuple[Finding, str]],
@@ -111,12 +80,13 @@ def _reconcile(
     """Screen candidates, then update or diff the accepted baseline."""
     report = result.report
     tables = {
-        module.display_path: _suppressions(module.source)
+        module.display_path: module.suppressions
         for module in index.modules.values()
     }
     fresh: List[Tuple[Finding, str]] = []
     for finding, fingerprint in candidates:
-        if _suppressed(tables, finding):
+        table = tables.get(finding.path, {})
+        if is_suppressed(table, finding.line, finding.code):
             report.suppressed += 1
             continue
         if fingerprint in result.fingerprints:
@@ -161,10 +131,9 @@ def _reconcile(
 
 
 def run_whole_program_analysis(
-    paths: Sequence[Union[str, pathlib.Path]] = DEEP_DEFAULT_PATHS,
+    paths: Iterable[Target] = DEEP_DEFAULT_PATHS,
     baseline_path: Union[str, pathlib.Path] = DEFAULT_BASELINE_PATH,
     update_baseline: bool = False,
-    cache: Optional[ModuleCache] = None,
 ) -> DeepResult:
     """Run every whole-program check and reconcile them with one baseline.
 
@@ -175,12 +144,16 @@ def run_whole_program_analysis(
     to ``baseline_path`` and the report carries no drift findings (only
     ``P001`` parse errors, which can never be accepted).  Otherwise a
     missing baseline file behaves as an empty one: every fingerprint in
-    the tree is new.
+    the tree is new.  ``paths`` may also be modules already loaded by
+    :func:`~repro.lint.engine.load_modules`, which are not read again.
     """
-    index = build_index(paths, cache=cache)
+    index = build_index(paths)
     graph = build_call_graph(index)
     summaries = infer_effects(graph)
-    report = _report_for(index)
+    report = LintReport(
+        findings=list(index.parse_errors),
+        files_scanned=index.files_indexed + len(index.parse_errors),
+    )
 
     taint = trace_taint_paths(graph)
     report.suppressed += taint.suppressed_seeds

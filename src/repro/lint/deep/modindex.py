@@ -6,8 +6,9 @@ module in the analyzed tree at once, what it defines, what it imports,
 and what it re-exports -- that is the raw material the call-graph
 builder resolves names against.
 
-:func:`build_index` parses every ``*.py`` file under the given paths
-exactly once and returns a :class:`ProjectIndex`:
+:func:`build_index` indexes every module the shared lint loader
+(:func:`repro.lint.engine.load_modules`) read, parsed and tokenized
+once, and returns a :class:`ProjectIndex`:
 
 * each module's dotted name is derived from the filesystem (walking up
   through ``__init__.py`` packages), so scanning ``src`` and scanning
@@ -26,8 +27,8 @@ exactly once and returns a :class:`ProjectIndex`:
   *registry candidates* -- the idiom :mod:`repro.sim.spec` uses for its
   component factories (``_GRAPH_FACTORIES = {}``).
 
-Files that do not parse are skipped here and reported by the analysis
-driver as ``P001`` findings, mirroring the shallow engine.
+Files that do not parse are skipped here; their loader-made ``P001``
+findings are reported by the analysis driver, as in the shallow engine.
 """
 
 from __future__ import annotations
@@ -35,21 +36,10 @@ from __future__ import annotations
 import ast
 import pathlib
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.lint.engine import iter_python_files
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.deep.cache import ModuleCache
+from repro.lint.engine import Target, load_modules
+from repro.lint.findings import Finding
 
 
 @dataclass
@@ -87,7 +77,8 @@ class ModuleInfo:
     path: pathlib.Path
     display_path: str
     tree: ast.Module
-    source: str
+    #: line -> codes its ``# reprolint: disable`` comment silences
+    suppressions: Dict[int, FrozenSet[str]]
     #: local alias -> absolute dotted target (module or module.symbol)
     imports: Dict[str, str] = field(default_factory=dict)
     #: local name -> other local/imported dotted name (``x = y``)
@@ -114,7 +105,8 @@ class ProjectIndex:
     modules: Dict[str, ModuleInfo] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
-    parse_errors: List[Tuple[str, int, str]] = field(default_factory=list)
+    #: the ``P001`` finding of every file that does not parse
+    parse_errors: List[Finding] = field(default_factory=list)
 
     @property
     def files_indexed(self) -> int:
@@ -268,31 +260,19 @@ def _index_class(
             cls.methods[child.name] = method
 
 
-def build_index(
-    paths: Iterable[Union[str, pathlib.Path]],
-    cache: Optional["ModuleCache"] = None,
-) -> ProjectIndex:
-    """Parse and index every Python file under ``paths`` once.
+def build_index(paths: Iterable[Target]) -> ProjectIndex:
+    """Index every module under ``paths`` (files, directories or modules
+    already loaded by :func:`~repro.lint.engine.load_modules`).
 
-    With a :class:`~repro.lint.deep.cache.ModuleCache`, each module's
-    AST is looked up by source content hash before parsing and stored
-    after; an unchanged tree re-indexes without touching the parser.
+    Each file is read, parsed and tokenized by the shared loader; the
+    index adds only definitions and names, never a second parse.
     """
     index = ProjectIndex()
-    for file_path in iter_python_files(paths):
-        display = file_path.as_posix()
-        source = file_path.read_text(encoding="utf-8")
-        tree = cache.load(source) if cache is not None else None
-        if tree is None:
-            try:
-                tree = ast.parse(source, filename=display)
-            except SyntaxError as error:
-                index.parse_errors.append(
-                    (display, error.lineno or 1, error.msg or "syntax error")
-                )
-                continue
-            if cache is not None:
-                cache.store(source, tree)
+    for module in load_modules(paths):
+        if module.parse_error is not None:
+            index.parse_errors.append(module.parse_error)
+            continue
+        file_path = pathlib.Path(module.path)
         name = module_name_for(file_path)
         if name in index.modules:
             # Two files mapping to one dotted name (e.g. the same tree
@@ -301,9 +281,9 @@ def build_index(
         info = ModuleInfo(
             name=name,
             path=file_path,
-            display_path=display,
-            tree=tree,
-            source=source,
+            display_path=module.path,
+            tree=module.tree,
+            suppressions=module.suppressions,
         )
         index.modules[name] = info
         _index_imports(info)

@@ -40,12 +40,12 @@ from __future__ import annotations
 import ast
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.deep.callgraph import CallGraph, CallSite, iter_own_nodes
 from repro.lint.deep.modindex import FunctionInfo, _dotted
 from repro.lint.determinism import GLOBAL_RANDOM_CALLS, WALL_CLOCK_CALLS
-from repro.lint.engine import _suppressions
+from repro.lint.engine import is_suppressed
 from repro.lint.rules import path_in_scope
 
 #: The deterministic core: every function defined in these modules is a
@@ -132,15 +132,6 @@ class TaintPath:
             + " -> ".join(self.chain)
             + f"; source at {self.seed_path}:{self.seed.lineno}"
         )
-
-
-def _line_suppressed(
-    table: Dict[int, FrozenSet[str]], lineno: int, codes: Iterable[str]
-) -> bool:
-    active = table.get(lineno)
-    if active is None:
-        return False
-    return "*" in active or any(code in active for code in codes)
 
 
 def _sorted_wrapped(nodes: Iterable[ast.AST]) -> Set[int]:
@@ -250,32 +241,22 @@ class TaintResult:
     suppressed_seeds: int
 
 
-def _suppression_tables(
-    graph: CallGraph,
-) -> Dict[str, Dict[int, FrozenSet[str]]]:
-    return {
-        name: _suppressions(module.source)
-        for name, module in graph.index.modules.items()
-    }
-
-
 def trace_taint_paths(
     graph: CallGraph,
     core_paths: Tuple[str, ...] = CORE_PATHS,
 ) -> TaintResult:
     """All shortest core-to-seed call chains of length >= 1 edge."""
-    tables = _suppression_tables(graph)
     suppressed_seeds = 0
     seeded: Dict[str, List[Seed]] = {}
     for qualname, function in graph.index.functions.items():
-        table = tables.get(function.module.name, {})
+        table = function.module.suppressions
         kept: List[Seed] = []
         for seed in collect_seeds(function):
             codes = [TAINT_CODE]
             shallow = SEED_SHALLOW_CODE.get(seed.kind)
             if shallow is not None:
                 codes.append(shallow)
-            if _line_suppressed(table, seed.lineno, codes):
+            if is_suppressed(table, seed.lineno, *codes):
                 suppressed_seeds += 1
             else:
                 kept.append(seed)

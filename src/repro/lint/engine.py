@@ -1,10 +1,15 @@
-"""The lint engine: file discovery, parsing, suppressions, dispatch.
+"""The lint engine: file discovery, loading, suppressions, dispatch.
 
-:func:`lint_paths` is the whole pipeline: discover ``*.py`` files under
-the given paths, parse each once, run every selected rule whose scope
-matches, honor inline suppressions, and return a :class:`LintReport`
-whose findings are sorted by location -- the same report object both
-reporters and the CLI exit code are computed from.
+:func:`load_modules` is the one front end of every lint tier: it
+discovers ``*.py`` files under the given paths and reads, parses and
+tokenizes each exactly once into a :class:`LoadedModule` (source, AST,
+suppression table, or the ``P001`` finding of a file that does not
+parse).  :func:`lint_paths` runs every selected shallow rule whose scope
+matches over those modules, honors inline suppressions, and returns a
+:class:`LintReport` whose findings are sorted by location -- the same
+report object both reporters and the CLI exit code are computed from.
+The whole-program pass (:func:`repro.lint.deep.build_index`) indexes the
+same loaded modules, so ``repro lint --all`` loads each file once.
 
 Suppressions are inline comments on the offending line::
 
@@ -94,18 +99,81 @@ def _suppressions(source: str) -> Dict[int, FrozenSet[str]]:
                 existing = table.get(token.start[0], frozenset())
                 table[token.start[0]] = existing | parsed
     except (tokenize.TokenError, IndentationError):
-        # The AST parse will report the real problem.
+        # Only parsed sources get here; one the tokenizer still
+        # rejects simply keeps no suppressions.
         pass
     return table
 
 
-def _is_suppressed(
-    finding: Finding, table: Dict[int, FrozenSet[str]]
+def is_suppressed(
+    table: Dict[int, FrozenSet[str]], line: int, *codes: str
 ) -> bool:
-    codes = table.get(finding.line)
-    if codes is None:
+    """Whether ``table`` silences any of ``codes`` on ``line``."""
+    active = table.get(line)
+    if active is None:
         return False
-    return codes is _ALL_CODES or "*" in codes or finding.code in codes
+    return "*" in active or any(code in active for code in codes)
+
+
+@dataclass(frozen=True)
+class LoadedModule:
+    """One file as every lint tier sees it: read, parsed and tokenized once.
+
+    Exactly one of ``tree`` and ``parse_error`` is set: a file that does
+    not parse carries its ``P001`` finding instead of an AST (and an
+    empty suppression table).
+    """
+
+    path: str
+    source: str
+    tree: Optional[ast.Module]
+    suppressions: Dict[int, FrozenSet[str]] = field(default_factory=dict)
+    parse_error: Optional[Finding] = None
+
+
+#: A lint target: a file or directory to discover, or a loaded module.
+Target = Union[str, pathlib.Path, LoadedModule]
+
+
+def _load_source(source: str, path: str) -> LoadedModule:
+    """Parse and tokenize one module's source text under ``path``."""
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as error:
+        return LoadedModule(
+            path=path,
+            source=source,
+            tree=None,
+            parse_error=Finding(
+                path=path,
+                line=error.lineno or 1,
+                column=(error.offset or 1),
+                code=PARSE_ERROR_CODE,
+                message=f"file does not parse: {error.msg}",
+            ),
+        )
+    return LoadedModule(path, source, tree, _suppressions(source))
+
+
+def _check(
+    module: LoadedModule, rules: Sequence[Rule], report: LintReport
+) -> None:
+    """Run ``rules`` over one loaded module, into ``report``."""
+    report.files_scanned += 1
+    if module.parse_error is not None:
+        report.findings.append(module.parse_error)
+        return
+    context = ModuleContext(
+        path=module.path, tree=module.tree, source=module.source
+    )
+    for rule in rules:
+        if not path_in_scope(module.path, rule.info.scopes, rule.info.exempt):
+            continue
+        for finding in rule.check(context):
+            if is_suppressed(module.suppressions, finding.line, finding.code):
+                report.suppressed += 1
+            else:
+                report.findings.append(finding)
 
 
 def lint_source(
@@ -115,32 +183,12 @@ def lint_source(
     rules: Optional[Sequence[Rule]] = None,
 ) -> LintReport:
     """Lint one module's source text under ``path``'s scopes."""
-    if rules is None:
-        rules = select_rules(None)
-    report = LintReport(files_scanned=1)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as error:
-        report.findings.append(
-            Finding(
-                path=path,
-                line=error.lineno or 1,
-                column=(error.offset or 1),
-                code=PARSE_ERROR_CODE,
-                message=f"file does not parse: {error.msg}",
-            )
-        )
-        return report
-    table = _suppressions(source)
-    context = ModuleContext(path=path, tree=tree, source=source)
-    for rule in rules:
-        if not path_in_scope(path, rule.info.scopes, rule.info.exempt):
-            continue
-        for finding in rule.check(context):
-            if _is_suppressed(finding, table):
-                report.suppressed += 1
-            else:
-                report.findings.append(finding)
+    report = LintReport()
+    _check(
+        _load_source(source, path),
+        select_rules(None) if rules is None else rules,
+        report,
+    )
     report.findings.sort()
     return report
 
@@ -175,21 +223,34 @@ def iter_python_files(
     return files
 
 
+def load_modules(paths: Iterable[Target]) -> List[LoadedModule]:
+    """Every module under ``paths``, each read, parsed and tokenized once.
+
+    Files and directories are discovered with :func:`iter_python_files`;
+    already-loaded modules pass through untouched (ahead of the
+    discovered ones), which is how ``repro lint --all`` hands one load
+    to both the shallow rules and the whole-program index.
+    """
+    targets = list(paths)
+    loaded = [t for t in targets if isinstance(t, LoadedModule)]
+    files = iter_python_files(
+        t for t in targets if not isinstance(t, LoadedModule)
+    )
+    return loaded + [
+        _load_source(file.read_text(encoding="utf-8"), file.as_posix())
+        for file in files
+    ]
+
+
 def lint_paths(
-    paths: Iterable[Union[str, pathlib.Path]],
+    paths: Iterable[Target],
     *,
     select: Optional[Iterable[str]] = None,
 ) -> LintReport:
-    """Lint every Python file under ``paths`` with the selected rules."""
+    """Lint every module under ``paths`` with the selected rules."""
     rules = select_rules(list(select) if select is not None else None)
     report = LintReport()
-    for file_path in iter_python_files(paths):
-        source = file_path.read_text(encoding="utf-8")
-        file_report = lint_source(
-            source, file_path.as_posix(), rules=rules
-        )
-        report.findings.extend(file_report.findings)
-        report.suppressed += file_report.suppressed
-        report.files_scanned += 1
+    for module in load_modules(paths):
+        _check(module, rules, report)
     report.findings.sort()
     return report

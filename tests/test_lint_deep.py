@@ -6,11 +6,13 @@ the same ``build_index`` the CLI uses.  The suite pins the call-graph
 resolution cases the engine promises (cycles, re-exports, registry
 factories, method dispatch, deferred imports), the exact taint-path
 message format, the fork-safety F-rules, the one driver's baseline
-drift gate, its shared index/call-graph/effects build, and the
+drift gate, its shared index/call-graph/effects build over one load
+of each file (and one P001 per broken file), and the
 ``--all`` CLI cycle for every rule family -- plus the self-check that
 the repository's own tree is clean against the committed baseline.
 """
 
+import json
 import pathlib
 import textwrap
 
@@ -118,7 +120,7 @@ class TestModuleIndex:
         assert "pkg.ok" in index.modules
         assert "pkg.bad" not in index.modules
         assert len(index.parse_errors) == 1
-        assert index.parse_errors[0][0].endswith("pkg/bad.py")
+        assert index.parse_errors[0].path.endswith("pkg/bad.py")
 
 
 # ----------------------------------------------------------------------
@@ -735,6 +737,10 @@ class TestWholeProgramCli:
     ):
         # perfbench's tracer wraps these same module globals; each must
         # run once per invocation, however many rule families report.
+        import ast
+        import collections
+        import tokenize
+
         import repro.lint.deep.analysis as analysis
 
         stages = (
@@ -756,12 +762,64 @@ class TestWholeProgramCli:
 
             monkeypatch.setattr(analysis, stage, counted)
         build(tmp_path, TWO_HOP_TAINT)
+        modules = sorted(tmp_path.rglob("*.py"))
+        assert len(modules) == 6
+        # Both tiers share one load: every module is read, parsed and
+        # tokenized once.  Parses count by filename (the call graph also
+        # parses string annotations, under no filename); tokenizations
+        # by source text, which the tokenizer's readline still holds.
+        reads = collections.Counter()
+        parses = collections.Counter()
+        tokenized = collections.Counter()
+        real_read, real_parse = pathlib.Path.read_text, ast.parse
+        real_tokens = tokenize.generate_tokens
+
+        def read_text(path, *args, **kwargs):
+            reads[path.as_posix()] += 1
+            return real_read(path, *args, **kwargs)
+
+        def parse(source, filename="<unknown>", *args, **kwargs):
+            parses[filename] += 1
+            return real_parse(source, filename, *args, **kwargs)
+
+        def generate_tokens(readline):
+            tokenized[readline.__self__.getvalue()] += 1
+            return real_tokens(readline)
+
+        monkeypatch.setattr(pathlib.Path, "read_text", read_text)
+        monkeypatch.setattr(ast, "parse", parse)
+        monkeypatch.setattr(tokenize, "generate_tokens", generate_tokens)
         baseline = str(tmp_path / "baseline.json")
         assert lint_main(
             ["--all", "--no-cache", "--baseline", baseline, str(tmp_path)]
         ) == 1
         assert "T001" in capsys.readouterr().out
         assert calls == dict.fromkeys(stages, 1)
+        once = dict.fromkeys((path.as_posix() for path in modules), 1)
+        assert {n: c for n, c in reads.items() if n.endswith(".py")} == once
+        assert {n: c for n, c in parses.items() if n in once} == once
+        assert tokenized == collections.Counter(
+            real_read(path) for path in modules
+        )
+
+    def test_broken_module_is_one_p001_across_tiers(self, tmp_path, capsys):
+        build(tmp_path, {"pkg/ok.py": "x = 1\n", "pkg/bad.py": "def f(:\n"})
+        baseline = str(tmp_path / "baseline.json")
+        assert lint_main(
+            ["--all", "--json", "--baseline", baseline, str(tmp_path)]
+        ) == 1
+        tiers = json.loads(capsys.readouterr().out)["tiers"]
+        p001 = [
+            (tier, finding)
+            for tier, report in sorted(tiers.items())
+            for finding in report["findings"]
+            if finding["code"] == "P001"
+        ]
+        assert len(p001) == 1
+        tier, finding = p001[0]
+        assert finding["path"].endswith("pkg/bad.py")
+        # the shallow engine's location: SyntaxError.offset, not column 1
+        assert (tier, finding["line"], finding["column"]) == ("shallow", 1, 7)
 
 
 # ----------------------------------------------------------------------

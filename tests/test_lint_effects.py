@@ -6,7 +6,7 @@ uses.  The suite pins the effect-summary semantics (aliases, augmented
 subscripts, comprehensions, lambdas, ``functools.partial``, numpy
 in-place operations, registry dispatch), every E/M/S contract rule with
 its fingerprint and call-chain message, the H001 alias blind spot the
-new tier closes, the AST disk cache, the CLI exit-code contract, and
+new tier closes, the CLI exit-code contract, and
 the guard that the repository self-check really sees the reference
 backend's phase mutations.
 """
@@ -16,10 +16,7 @@ import textwrap
 import pytest
 
 from repro.lint.cli import main as lint_main
-from repro.lint.deep import (
-    ModuleCache,
-    run_whole_program_analysis,
-)
+from repro.lint.deep import run_whole_program_analysis
 from repro.lint.deep.callgraph import build_call_graph
 from repro.lint.deep.contracts import check_contracts
 from repro.lint.deep.effects import infer_effects, witness_chain
@@ -740,66 +737,6 @@ class TestSpecContracts:
 
 
 # ----------------------------------------------------------------------
-# The AST disk cache
-# ----------------------------------------------------------------------
-
-
-class TestModuleCache:
-    FILES = {
-        "pkg/a.py": "def f():\n    return 1\n",
-        "pkg/b.py": "def g():\n    return 2\n",
-    }
-
-    def test_second_build_hits(self, tmp_path):
-        build(tmp_path, self.FILES)
-        cache = ModuleCache(tmp_path / "cache")
-        first = build_index([tmp_path], cache=cache)
-        assert cache.hits == 0 and cache.misses > 0
-        misses = cache.misses
-        second = build_index([tmp_path], cache=cache)
-        assert cache.hits == misses
-        assert set(first.functions) == set(second.functions)
-
-    def test_edited_file_misses_again(self, tmp_path):
-        build(tmp_path, self.FILES)
-        cache = ModuleCache(tmp_path / "cache")
-        build_index([tmp_path], cache=cache)
-        (tmp_path / "pkg" / "a.py").write_text("def f():\n    return 3\n")
-        cache.hits = cache.misses = 0
-        build_index([tmp_path], cache=cache)
-        assert cache.misses == 1  # only the edited module re-parses
-        assert cache.hits >= 2  # b.py and the __init__ chain
-
-    def test_corrupt_entry_falls_back_to_parsing(self, tmp_path):
-        build(tmp_path, self.FILES)
-        cache = ModuleCache(tmp_path / "cache")
-        build_index([tmp_path], cache=cache)
-        source = (tmp_path / "pkg" / "a.py").read_text()
-        entry = cache._entry_path(ModuleCache.key_for(source))
-        entry.write_bytes(b"not a pickle")
-        cache.hits = cache.misses = 0
-        index = build_index([tmp_path], cache=cache)
-        assert "pkg.a" in index.modules
-        assert cache.misses == 1
-
-    def test_cached_run_equals_uncached_run(self, tmp_path):
-        build(tmp_path, BAD_BACKEND)
-        cache = ModuleCache(tmp_path / "cache")
-        baseline = tmp_path / "baseline.json"
-        cold = run_whole_program_analysis(
-            [tmp_path], baseline_path=baseline
-        )
-        warm = run_whole_program_analysis(
-            [tmp_path], baseline_path=baseline, cache=cache
-        )
-        hot = run_whole_program_analysis(
-            [tmp_path], baseline_path=baseline, cache=cache
-        )
-        assert cache.hits > 0
-        assert cold.fingerprints == warm.fingerprints == hot.fingerprints
-
-
-# ----------------------------------------------------------------------
 # Driver and CLI
 # ----------------------------------------------------------------------
 
@@ -854,27 +791,14 @@ class TestEffectsCli:
         assert "internal error" in err and "analyzer exploded" in err
 
     def test_no_cache_skips_the_cache_dir(self, tmp_path, capsys, monkeypatch):
+        # Lint keeps no cache: --no-cache is accepted and changes nothing.
         build(tmp_path, {"pkg/a.py": "x = 1\n"})
         monkeypatch.chdir(tmp_path)
         baseline = str(tmp_path / "baseline.json")
-        assert (
-            lint_main(
-                [
-                    "--all",
-                    "--no-cache",
-                    "--baseline",
-                    baseline,
-                    str(tmp_path),
-                ]
-            )
-            == 0
-        )
-        assert not (tmp_path / ".lint-cache").exists()
-        assert (
-            lint_main(["--all", "--baseline", baseline, str(tmp_path)])
-            == 0
-        )
-        assert (tmp_path / ".lint-cache").is_dir()
+        for flags in (["--no-cache"], []):
+            argv = ["--all", *flags, "--baseline", baseline, str(tmp_path)]
+            assert lint_main(argv) == 0
+            assert not (tmp_path / ".lint-cache").exists()
         capsys.readouterr()
 
     def test_json_report_shape(self, tmp_path, capsys):

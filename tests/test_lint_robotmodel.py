@@ -7,14 +7,13 @@ location-free fingerprint and witness-chain message, the exemptions
 that keep honest algorithms clean (declared state reads, round-reset
 scratch, bool-valued fields, GLOBAL algorithms), the baseline
 round-trip byte-for-byte, stale ``B001`` entries, inline suppression,
-the ``ANALYZER_VERSION`` cache key, the merged ``--all`` CLI mode, the
+the merged ``--all`` CLI mode, the
 guards that keep the repository self-check from being vacuous, and
 the static/runtime cross-check: an algorithm with hidden persistent
 state is flagged by ``A001`` *and* demonstrably under-audited by the
 engine's runtime memory accounting.
 """
 
-import ast
 import dataclasses
 import json
 import pathlib
@@ -24,7 +23,6 @@ import pytest
 
 from repro.lint.cli import main as lint_main
 from repro.lint.deep import (
-    ModuleCache,
     render_baseline,
     run_whole_program_analysis,
 )
@@ -446,7 +444,7 @@ class TestA005ObservationMutation:
 
 
 # ----------------------------------------------------------------------
-# Suppression, baseline and cache
+# Suppression and baseline
 # ----------------------------------------------------------------------
 
 
@@ -503,46 +501,6 @@ class TestSuppressionAndBaseline:
         assert not result.report.ok
         assert result.stale == ["A001|pkg.algos.SneakyCounter.decide|_visits"]
         assert result.report.findings[0].code == "B001"
-
-    def test_cache_reuse_is_semantics_preserving(self, tmp_path):
-        build(tmp_path, HIDDEN_STATE)
-        cache = ModuleCache(tmp_path / "cache")
-        baseline = tmp_path / "baseline.json"
-        cold = run_whole_program_analysis([tmp_path], baseline_path=baseline)
-        warm = run_whole_program_analysis(
-            [tmp_path], baseline_path=baseline, cache=cache
-        )
-        hot = run_whole_program_analysis(
-            [tmp_path], baseline_path=baseline, cache=cache
-        )
-        assert cache.hits > 0
-        assert cold.fingerprints == warm.fingerprints == hot.fingerprints
-
-
-class TestAnalyzerVersionCacheKey:
-    def test_key_mixes_the_analyzer_generation(self, monkeypatch):
-        import repro.lint.deep.cache as cache_module
-
-        before = ModuleCache.key_for("x = 1\n")
-        monkeypatch.setattr(cache_module, "ANALYZER_VERSION", 999)
-        assert ModuleCache.key_for("x = 1\n") != before
-
-    def test_version_bump_invalidates_stored_entries(
-        self, tmp_path, monkeypatch
-    ):
-        import repro.lint.deep.cache as cache_module
-
-        cache = ModuleCache(tmp_path / "cache")
-        source = "x = 1\n"
-        cache.store(source, ast.parse(source))
-        assert cache.load(source) is not None
-        monkeypatch.setattr(
-            cache_module,
-            "ANALYZER_VERSION",
-            cache_module.ANALYZER_VERSION + 1,
-        )
-        assert cache.load(source) is None
-        assert cache.misses == 1
 
 
 # ----------------------------------------------------------------------
