@@ -584,91 +584,6 @@ def _section_schedulers(scale: str, runner: Runner) -> CampaignSection:
     )
 
 
-def _section_backend_speedup(scale: str, runner: Runner) -> CampaignSection:
-    """E13 -- the vectorized engine backend vs the reference.
-
-    Each grid cell runs the identical spec through both engine backends
-    and compares the results; the verdict is *bit-identicality only*
-    (wall-clock never fails a campaign -- machine load must not flake
-    CI).  The measured speedups ride along in ``data``.  Timing goes
-    through :func:`~repro.sim.spec.execute` directly rather than the
-    campaign runner: a cache hit would time disk I/O, not the engine,
-    and these runs must not skew the campaign's cache hit-rate block.
-    """
-    from repro.sim.spec import execute
-    from repro.sim.traceio import run_result_to_json
-
-    cells = [(96, 72), (192, 144), (384, 288)]
-    if scale == "full":
-        cells.append((512, 384))
-    rows = []
-    ok = True
-    cell_data: List[Dict[str, Any]] = []
-    for index, (n, k) in enumerate(cells):
-        spec = RunSpec(
-            graph=ComponentSpec(
-                "static_family",
-                {"family": "random_dense", "n": n, "seed": 9},
-            ),
-            placement=PlacementSpec(kind="rooted", k=k),
-            # Records only on the smallest cell: they feed the full
-            # trace fingerprint below without slowing the big cells.
-            collect_records=index == 0,
-            label=f"backend speedup n={n} k={k}",
-        )
-        t0 = time.perf_counter()
-        reference = execute(spec)
-        ref_seconds = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        vectorized = execute(spec.with_(backend=ComponentSpec("vectorized")))
-        vec_seconds = time.perf_counter() - t0
-        identical = (
-            reference.final_positions == vectorized.final_positions
-            and reference.rounds == vectorized.rounds
-            and reference.total_moves == vectorized.total_moves
-        )
-        if index == 0:
-            identical &= run_result_to_json(
-                reference
-            ) == run_result_to_json(vectorized)
-        ok &= reference.dispersed and identical
-        speedup = (
-            ref_seconds / vec_seconds if vec_seconds > 0 else float("inf")
-        )
-        rows.append(
-            (
-                f"{n}/{k}",
-                f"{ref_seconds:.3f}",
-                f"{vec_seconds:.3f}",
-                f"{speedup:.1f}x",
-                identical,
-            )
-        )
-        cell_data.append(
-            {
-                "n": n,
-                "k": k,
-                "reference_seconds": round(ref_seconds, 6),
-                "vectorized_seconds": round(vec_seconds, 6),
-                "speedup": round(speedup, 3),
-                "identical": identical,
-            }
-        )
-    body = format_table(
-        ("n/k", "reference s", "vectorized s", "speedup", "identical"), rows
-    )
-    return CampaignSection(
-        "E13 -- vectorized engine backend: bit-identical, "
-        "reference-vs-vectorized speedup",
-        body,
-        ok,
-        data={
-            "cells": cell_data,
-            "largest_cell_speedup": cell_data[-1]["speedup"],
-        },
-    )
-
-
 _SECTIONS = (
     _section_algorithm,
     _section_lower_bound,
@@ -680,7 +595,6 @@ _SECTIONS = (
     _section_ring,
     _section_byzantine,
     _section_schedulers,
-    _section_backend_speedup,
 )
 
 

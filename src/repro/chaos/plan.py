@@ -51,7 +51,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.sim.spec import canonical_json
 
@@ -442,10 +442,3 @@ def plan_digest(plan: FaultPlan, *, salt: str = "faultplan1") -> str:
     data.pop("label", None)
     payload = f"{salt}\n{canonical_json(data)}"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _claim_keys(plan: FaultPlan) -> List[str]:
-    """The worker-side claim-counter key of every claimable fault."""
-    keys = [f"runner-{index}" for index in range(len(plan.runner))]
-    keys += [f"engine-{index}" for index in range(len(plan.engine))]
-    return keys

@@ -264,13 +264,6 @@ class SimulationEngine:
         """Nodes in the dynamic graph."""
         return self._n
 
-    def alive_positions(self) -> Dict[int, int]:
-        """Current alive robot -> node mapping (a copy)."""
-        return dict(self._positions)
-
-    def _occupied_nodes(self) -> Set[int]:
-        return set(self._positions.values())
-
     def _honest_positions(self) -> Dict[int, int]:
         return {
             robot_id: node

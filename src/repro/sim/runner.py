@@ -10,8 +10,7 @@ A :class:`Runner` turns a sequence of specs into the matching sequence of
   data and :func:`repro.sim.spec.execute` is a module-level function of
   the spec alone, every worker reconstructs its runs independently and
   the results are **bit-identical** to the serial backend (the
-  equivalence is pinned by ``tests/test_runner.py`` and the
-  ``bench_runner_scaling`` benchmark report).
+  equivalence is pinned by ``tests/test_runner.py``).
 
 The pool backend is fault-tolerant.  Each dispatched work unit carries a
 bounded retry budget with exponential backoff (``retries`` /

@@ -264,7 +264,7 @@ def run_fingerprint(result: RunResult) -> str:
     Two runs fingerprint equal iff their :func:`run_result_to_json`
     exports are byte-identical -- the equality contract the engine
     backends are held to (``reference`` vs ``vectorized``) and the
-    check the cross-backend replay tests and benchmark E13 assert.
+    check the cross-backend replay tests assert.
     """
     payload = run_result_to_json(result).encode("utf-8")
     return hashlib.sha256(payload).hexdigest()

@@ -203,12 +203,11 @@ class TestCampaign:
 
         report = run_campaign("quick")
         assert report.all_passed
-        assert len(report.sections) == 11
+        assert len(report.sections) == 10
         rendered = report.render()
         assert "Table I row 3" in rendered
         assert "Figure 2" in rendered
         assert "scheduler models" in rendered
-        assert "vectorized engine backend" in rendered
         assert "[PASS]" in rendered and "[FAIL]" not in rendered
 
     def test_rejects_unknown_scale(self):

@@ -151,6 +151,31 @@ class TestCrossBackendEquivalence:
             )
             assert run_fingerprint(reference) == run_fingerprint(vectorized)
 
+    @pytest.mark.parametrize(
+        "n,k", [(96, 72), (192, 144), (384, 288), (512, 384)]
+    )
+    def test_large_static_dense_cells(self, n, k):
+        """The perfbench static-dense cells plus the 512/384 cell.
+
+        Records only on the smallest cell: they feed the full trace
+        comparison without slowing the big cells.
+        """
+        spec = RunSpec(
+            graph=ComponentSpec(
+                "static_family",
+                {"family": "random_dense", "n": n, "seed": 9},
+            ),
+            placement=PlacementSpec(kind="rooted", k=k),
+            collect_records=n == 96,
+            label=f"static dense n={n} k={k}",
+        )
+        reference, vectorized = both_backends(spec)
+        assert reference.dispersed
+        assert reference.final_positions == vectorized.final_positions
+        assert reference.rounds == vectorized.rounds
+        assert reference.total_moves == vectorized.total_moves
+        assert run_result_to_json(reference) == run_result_to_json(vectorized)
+
 
 # ----------------------------------------------------------------------
 # The vectorized component-labeling kernel

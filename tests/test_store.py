@@ -366,11 +366,18 @@ def _put_one(root, seed):
 
 
 class TestResumableCampaign:
-    def test_second_campaign_recomputes_nothing(self, tmp_path):
+    def test_second_campaign_recomputes_nothing(self, tmp_path, monkeypatch):
         store = RunStore(tmp_path)
         cold = run_campaign("quick", store=store)
         assert cold.all_passed
         assert cold.cache["hits"] == 0 and cold.cache["recomputed"] > 0
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("a warm campaign built an engine")
+
+        # Every section goes through the store: the warm pass builds
+        # no engine at all.
+        monkeypatch.setattr("repro.sim.spec.build_engine", no_engine)
         warm = run_campaign("quick", store=RunStore(tmp_path))
         assert warm.all_passed
         assert warm.cache["recomputed"] == 0
