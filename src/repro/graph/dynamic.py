@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.snapshot import GraphSnapshot
-from repro.graph.generators import random_tree
+from repro.graph.generators import add_chords, random_tree, spanning_tree_edges
 
 
 @dataclass
@@ -166,32 +166,15 @@ class RandomChurnDynamicGraph(DynamicGraph):
         self._cache: List[GraphSnapshot] = []
 
     def _generate_next(self, rng: random.Random) -> GraphSnapshot:
-        n = self._n
-        edge_set: Set[Tuple[int, int]] = set()
-        order = list(range(n))
-        rng.shuffle(order)
-        for i in range(1, n):
-            u, v = order[rng.randrange(i)], order[i]
-            edge_set.add((min(u, v), max(u, v)))
+        edge_set = spanning_tree_edges(self._n, rng)
         if self._persistence > 0.0 and self._cache:
-            for edge in self._cache[-1].edges():
-                key = (edge.u, edge.v)
+            # One draw per new edge, in edges() order: the order is part
+            # of the seeded stream, so it must not change.
+            for key in self._cache[-1]._edge_pairs():
                 if key not in edge_set and rng.random() < self._persistence:
                     edge_set.add(key)
-        max_edges = n * (n - 1) // 2
-        budget = min(self._extra_edges, max_edges - len(edge_set))
-        attempts = 0
-        while budget > 0 and attempts < 50 * (budget + 1):
-            attempts += 1
-            u, v = rng.randrange(n), rng.randrange(n)
-            if u == v:
-                continue
-            key = (min(u, v), max(u, v))
-            if key in edge_set:
-                continue
-            edge_set.add(key)
-            budget -= 1
-        return GraphSnapshot.from_edges(n, sorted(edge_set), rng=rng)
+        add_chords(self._n, edge_set, self._extra_edges, rng)
+        return GraphSnapshot.from_edges(self._n, edge_set, rng=rng)
 
     def snapshot(
         self, round_index: int, context: Optional[RoundContext] = None
@@ -240,9 +223,7 @@ class TIntervalChurnDynamicGraph(DynamicGraph):
         if block not in self._block_trees:
             rng = random.Random(f"{self._seed}:tree:{block}")
             tree = random_tree(self._n, rng)
-            self._block_trees[block] = frozenset(
-                (e.u, e.v) for e in tree.edges()
-            )
+            self._block_trees[block] = frozenset(tree._edge_pairs())
         return self._block_trees[block]
 
     def snapshot(
@@ -255,21 +236,9 @@ class TIntervalChurnDynamicGraph(DynamicGraph):
             edge_set = set(self._block_tree(block))
             edge_set |= self._block_tree(block + 1)
             rng = random.Random(f"{self._seed}:round:{round_index}")
-            max_edges = self._n * (self._n - 1) // 2
-            budget = min(self._extra_edges, max_edges - len(edge_set))
-            attempts = 0
-            while budget > 0 and attempts < 50 * (budget + 1):
-                attempts += 1
-                u, v = rng.randrange(self._n), rng.randrange(self._n)
-                if u == v:
-                    continue
-                key = (min(u, v), max(u, v))
-                if key in edge_set:
-                    continue
-                edge_set.add(key)
-                budget -= 1
+            add_chords(self._n, edge_set, self._extra_edges, rng)
             self._cache[round_index] = GraphSnapshot.from_edges(
-                self._n, sorted(edge_set), rng=rng
+                self._n, edge_set, rng=rng
             )
         return self._cache[round_index]
 

@@ -16,7 +16,7 @@ to a connected graph of empty nodes.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.graph.snapshot import GraphSnapshot
 
@@ -169,28 +169,40 @@ def random_connected_graph(
     distinct random non-tree edges (fewer if the graph saturates)."""
     if n < 1:
         raise ValueError("graph needs n >= 1")
+    edge_set = spanning_tree_edges(n, rng)
+    add_chords(n, edge_set, extra_edges, rng)
+    return _snapshot(n, edge_set, rng)
+
+
+def spanning_tree_edges(n: int, rng: random.Random) -> Set[Tuple[int, int]]:
+    """A random spanning tree over a shuffled node order, as ``(u, v)``
+    pairs with ``u < v``."""
     edge_set = set()
     order = list(range(n))
     rng.shuffle(order)
     for i in range(1, n):
-        u = order[rng.randrange(i)]
-        v = order[i]
-        edge_set.add((min(u, v), max(u, v)))
-    max_edges = n * (n - 1) // 2
-    budget = min(extra_edges, max_edges - len(edge_set))
+        u, v = order[rng.randrange(i)], order[i]
+        edge_set.add((u, v) if u < v else (v, u))
+    return edge_set
+
+
+def add_chords(
+    n: int, edge_set: Set[Tuple[int, int]], extra_edges: int, rng: random.Random
+) -> None:
+    """Add up to ``extra_edges`` distinct random non-edges to ``edge_set``
+    (fewer if the graph saturates or the attempt budget runs out)."""
+    budget = min(extra_edges, n * (n - 1) // 2 - len(edge_set))
     attempts = 0
     while budget > 0 and attempts < 50 * (budget + 1):
         attempts += 1
-        u = rng.randrange(n)
-        v = rng.randrange(n)
+        u, v = rng.randrange(n), rng.randrange(n)
         if u == v:
             continue
-        key = (min(u, v), max(u, v))
+        key = (u, v) if u < v else (v, u)
         if key in edge_set:
             continue
         edge_set.add(key)
         budget -= 1
-    return _snapshot(n, sorted(edge_set), rng)
 
 
 def random_regularish_graph(

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, Iterator, List, Mapping
+from typing import Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -60,43 +61,30 @@ class PortLabeledEdge:
 class GraphSnapshot:
     """An immutable, connected-or-not, port-labelled simple graph.
 
-    Instances are normally built with :meth:`from_edges` (ports assigned
-    canonically or randomly) or :meth:`from_port_maps` (explicit ports).
-    All query methods are O(1) or O(degree).
+    The one stored form is CSR: ``indptr`` and the port-ordered
+    ``neighbors``, so port ``p`` of ``v`` leads to
+    ``neighbors[indptr[v] + p - 1]`` (see :meth:`csr`).  Instances are
+    normally built with :meth:`from_edges` (ports assigned canonically or
+    randomly) or :meth:`from_port_maps` (explicit ports).  All query
+    methods are O(1) or O(degree); :meth:`edges` is built on first use.
     """
 
-    __slots__ = ("_n", "_adj_by_port", "_port_by_neighbor", "_edge_list")
+    __slots__ = ("_n", "_indptr", "_nbrs", "_edge_list", "_converted")
 
     def __init__(
-        self,
-        n: int,
-        adj_by_port: Sequence[Dict[int, int]],
-        *,
-        _skip_checks: bool = False,
+        self, n: int, indptr: Sequence[int], neighbors: Sequence[int]
     ) -> None:
-        """Build a snapshot from per-node ``{port: neighbor}`` maps.
+        """Wrap CSR arrays as they are, without checking them.
 
-        Prefer the class-method constructors; this constructor validates the
-        port structure (bijective ports ``1..degree``, symmetric adjacency,
-        simple graph) unless ``_skip_checks`` is set by a trusted caller.
+        Prefer the class-method constructors, which validate their input.
         """
         if n <= 0:
             raise ValueError(f"graph must have at least one node, got n={n}")
-        if len(adj_by_port) != n:
-            raise ValueError(
-                f"expected {n} port maps, got {len(adj_by_port)}"
-            )
         self._n = n
-        self._adj_by_port: Tuple[Dict[int, int], ...] = tuple(
-            dict(ports) for ports in adj_by_port
-        )
-        self._port_by_neighbor: Tuple[Dict[int, int], ...] = tuple(
-            {nbr: port for port, nbr in ports.items()}
-            for ports in self._adj_by_port
-        )
-        if not _skip_checks:
-            self._check_structure()
-        self._edge_list: Tuple[PortLabeledEdge, ...] = self._build_edge_list()
+        self._indptr: Tuple[int, ...] = tuple(indptr)
+        self._nbrs: Tuple[int, ...] = tuple(neighbors)
+        self._edge_list: Optional[Tuple[PortLabeledEdge, ...]] = None
+        self._converted: Optional[Tuple[Callable[..., Any], Any, Any]] = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -115,7 +103,8 @@ class GraphSnapshot:
         If ``rng`` is given the ports of every node are a random permutation
         of ``1..degree(v)`` (an adversarial/arbitrary labelling); otherwise
         ports are assigned in increasing neighbor-index order, which is
-        deterministic and convenient for tests.
+        deterministic and convenient for tests.  Either way the result does
+        not depend on the order of ``edges``.
         """
         neighbor_lists: List[List[int]] = [[] for _ in range(n)]
         seen = set()
@@ -124,60 +113,45 @@ class GraphSnapshot:
                 raise ValueError(f"self-loop at node {u} is not allowed")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            key = (min(u, v), max(u, v))
+            key = (u, v) if u < v else (v, u)
             if key in seen:
                 raise ValueError(f"duplicate edge ({u},{v})")
             seen.add(key)
             neighbor_lists[u].append(v)
             neighbor_lists[v].append(u)
 
-        adj_by_port: List[Dict[int, int]] = []
-        for v in range(n):
-            nbrs = sorted(neighbor_lists[v])
+        indptr = [0]
+        flat: List[int] = []
+        for nbrs in neighbor_lists:
+            nbrs.sort()
             if rng is not None:
                 rng.shuffle(nbrs)
-            adj_by_port.append({port: nbr for port, nbr in enumerate(nbrs, 1)})
-        return cls(n, adj_by_port, _skip_checks=True)
+            flat += nbrs
+            indptr.append(len(flat))
+        return cls(n, indptr, flat)
 
     @classmethod
     def from_port_maps(
-        cls, n: int, adj_by_port: Sequence[Dict[int, int]]
+        cls, n: int, adj_by_port: Sequence[Mapping[int, int]]
     ) -> "GraphSnapshot":
-        """Build a snapshot from explicit ``{port: neighbor}`` maps."""
-        return cls(n, adj_by_port)
+        """Build a snapshot from explicit ``{port: neighbor}`` maps.
 
-    # ------------------------------------------------------------------
-    # Structure checks
-    # ------------------------------------------------------------------
-
-    def _check_structure(self) -> None:
-        for v, ports in enumerate(self._adj_by_port):
-            degree = len(ports)
-            if sorted(ports) != list(range(1, degree + 1)):
-                raise ValueError(
-                    f"node {v}: ports must be exactly 1..{degree}, "
-                    f"got {sorted(ports)}"
-                )
-            if len(set(ports.values())) != degree:
-                raise ValueError(f"node {v}: parallel edges are not allowed")
-            for nbr in ports.values():
-                if not (0 <= nbr < self._n):
-                    raise ValueError(f"node {v}: neighbor {nbr} out of range")
-                if nbr == v:
-                    raise ValueError(f"self-loop at node {v} is not allowed")
-                if v not in self._adj_by_port[nbr].values():
-                    raise ValueError(
-                        f"asymmetric adjacency: {v}->{nbr} has no reverse"
-                    )
-
-    def _build_edge_list(self) -> Tuple[PortLabeledEdge, ...]:
-        edges = []
-        for u in range(self._n):
-            for port_u, v in self._adj_by_port[u].items():
-                if u < v:
-                    port_v = self._port_by_neighbor[v][u]
-                    edges.append(PortLabeledEdge(u, port_u, v, port_v))
-        return tuple(edges)
+        Checks the port structure: bijective ports ``1..degree``, symmetric
+        adjacency, simple graph.
+        """
+        if n <= 0:
+            raise ValueError(f"graph must have at least one node, got n={n}")
+        if len(adj_by_port) != n:
+            raise ValueError(
+                f"expected {n} port maps, got {len(adj_by_port)}"
+            )
+        _check_structure(n, adj_by_port)
+        indptr = [0]
+        flat: List[int] = []
+        for ports in adj_by_port:
+            flat += (ports[port] for port in range(1, len(ports) + 1))
+            indptr.append(len(flat))
+        return cls(n, indptr, flat)
 
     # ------------------------------------------------------------------
     # Queries
@@ -191,56 +165,92 @@ class GraphSnapshot:
     @property
     def num_edges(self) -> int:
         """Number of edges ``m_r``."""
-        return len(self._edge_list)
+        return len(self._nbrs) // 2
 
     def nodes(self) -> range:
         """Iterate over node indices."""
         return range(self._n)
 
+    def csr(
+        self, convert: Optional[Callable[[Tuple[int, ...]], Any]] = None
+    ) -> Tuple[Any, Any]:
+        """The port-ordered CSR arrays ``(indptr, neighbors)``.
+
+        ``neighbors[indptr[v]:indptr[v + 1]]`` lists ``v``'s neighbors in
+        increasing port order.  With ``convert`` (an array constructor) the
+        pair is converted on the first call and kept with the snapshot, so
+        a static graph is converted once per run, not once per round.
+        """
+        if convert is None:
+            return self._indptr, self._nbrs
+        if self._converted is None or self._converted[0] is not convert:
+            self._converted = (
+                convert, convert(self._indptr), convert(self._nbrs)
+            )
+        return self._converted[1], self._converted[2]
+
+    def _edge_pairs(self) -> Iterator[Tuple[int, int]]:
+        """Every edge as ``(u, v)`` with ``u < v``, in :meth:`edges` order."""
+        for u in range(self._n):
+            for v in self.neighbors(u):
+                if u < v:
+                    yield u, v
+
     def edges(self) -> Tuple[PortLabeledEdge, ...]:
-        """All edges with their port labels, canonical ``u < v`` order."""
+        """All edges with their port labels: ``u`` ascending, then ``u``'s
+        port order (so not sorted by ``v``), each edge once with ``u < v``."""
+        if self._edge_list is None:
+            port_at = [
+                {nbr: port for port, nbr in enumerate(self.neighbors(v), 1)}
+                for v in range(self._n)
+            ]
+            self._edge_list = tuple(
+                PortLabeledEdge(u, port_at[u][v], v, port_at[v][u])
+                for u, v in self._edge_pairs()
+            )
         return self._edge_list
 
     def degree(self, v: int) -> int:
         """Degree of node ``v`` in this snapshot."""
-        return len(self._adj_by_port[v])
+        return self._indptr[v + 1] - self._indptr[v]
 
     def max_degree(self) -> int:
         """Maximum degree of the snapshot (Delta_r in the paper)."""
-        return max(len(ports) for ports in self._adj_by_port)
+        indptr = self._indptr
+        return max(indptr[v + 1] - indptr[v] for v in range(self._n))
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
         """Neighbors of ``v`` in increasing port order."""
-        ports = self._adj_by_port[v]
-        return tuple(ports[p] for p in sorted(ports))
+        return self._nbrs[self._indptr[v]:self._indptr[v + 1]]
 
     def ports(self, v: int) -> Tuple[int, ...]:
         """The ports of ``v``: always ``(1, ..., degree(v))``."""
-        return tuple(range(1, len(self._adj_by_port[v]) + 1))
+        return tuple(range(1, self.degree(v) + 1))
 
     def neighbor_via(self, v: int, port: int) -> int:
         """The node reached by leaving ``v`` through ``port``."""
-        try:
-            return self._adj_by_port[v][port]
-        except KeyError:
-            raise ValueError(
-                f"node {v} has no port {port} (degree {self.degree(v)})"
-            ) from None
+        start = self._indptr[v]
+        if 0 < port <= self._indptr[v + 1] - start:
+            return self._nbrs[start + port - 1]
+        raise ValueError(
+            f"node {v} has no port {port} (degree {self.degree(v)})"
+        )
 
     def port_of(self, v: int, neighbor: int) -> int:
         """The port of ``v`` on the edge towards ``neighbor``."""
+        start = self._indptr[v]
         try:
-            return self._port_by_neighbor[v][neighbor]
-        except KeyError:
+            return self._nbrs.index(neighbor, start, self._indptr[v + 1]) - start + 1
+        except ValueError:
             raise ValueError(f"{neighbor} is not a neighbor of {v}") from None
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether ``{u, v}`` is an edge of this snapshot."""
-        return v in self._port_by_neighbor[u]
+        return v in self.neighbors(u)
 
     def port_map(self, v: int) -> Dict[int, int]:
-        """A copy of the ``{port: neighbor}`` map of ``v``."""
-        return dict(self._adj_by_port[v])
+        """A copy of the ``{port: neighbor}`` map of ``v``, ports ascending."""
+        return dict(enumerate(self.neighbors(v), 1))
 
     # ------------------------------------------------------------------
     # Whole-graph analysis (used by the simulator and tests, not robots)
@@ -248,30 +258,18 @@ class GraphSnapshot:
 
     def is_connected(self) -> bool:
         """Whether the snapshot is connected (the 1-interval condition)."""
-        if self._n == 1:
-            return True
-        seen = [False] * self._n
-        stack = [0]
-        seen[0] = True
-        count = 1
-        while stack:
-            v = stack.pop()
-            for nbr in self._adj_by_port[v].values():
-                if not seen[nbr]:
-                    seen[nbr] = True
-                    count += 1
-                    stack.append(nbr)
-        return count == self._n
+        return -1 not in self.bfs_distances(0)
 
     def bfs_distances(self, source: int) -> List[int]:
         """Distances from ``source``; unreachable nodes get ``-1``."""
+        indptr, nbrs = self._indptr, self._nbrs
         dist = [-1] * self._n
         dist[source] = 0
         frontier = [source]
         while frontier:
             nxt = []
             for v in frontier:
-                for nbr in self._adj_by_port[v].values():
+                for nbr in nbrs[indptr[v]:indptr[v + 1]]:
                     if dist[nbr] < 0:
                         dist[nbr] = dist[v] + 1
                         nxt.append(nbr)
@@ -290,23 +288,7 @@ class GraphSnapshot:
 
     def connected_node_components(self) -> List[FrozenSet[int]]:
         """Connected components of the node set (ground-truth analysis)."""
-        seen = [False] * self._n
-        components = []
-        for start in range(self._n):
-            if seen[start]:
-                continue
-            seen[start] = True
-            stack = [start]
-            members = [start]
-            while stack:
-                v = stack.pop()
-                for nbr in self._adj_by_port[v].values():
-                    if not seen[nbr]:
-                        seen[nbr] = True
-                        members.append(nbr)
-                        stack.append(nbr)
-            components.append(frozenset(members))
-        return components
+        return self.induced_occupied_components(range(self._n))
 
     def induced_occupied_components(
         self, occupied: Iterable[int]
@@ -328,7 +310,7 @@ class GraphSnapshot:
             members = [start]
             while stack:
                 v = stack.pop()
-                for nbr in self._adj_by_port[v].values():
+                for nbr in self.neighbors(v):
                     if nbr in occupied_set and nbr not in seen:
                         seen.add(nbr)
                         members.append(nbr)
@@ -342,7 +324,7 @@ class GraphSnapshot:
 
         graph = nx.Graph()
         graph.add_nodes_from(range(self._n))
-        for edge in self._edge_list:
+        for edge in self.edges():
             graph.add_edge(
                 edge.u, edge.v, ports={edge.u: edge.port_u, edge.v: edge.port_v}
             )
@@ -350,9 +332,7 @@ class GraphSnapshot:
 
     def relabeled_ports(self, rng: random.Random) -> "GraphSnapshot":
         """The same graph with freshly randomized port labels."""
-        return GraphSnapshot.from_edges(
-            self._n, [(e.u, e.v) for e in self._edge_list], rng=rng
-        )
+        return GraphSnapshot.from_edges(self._n, self._edge_pairs(), rng=rng)
 
     # ------------------------------------------------------------------
     # Dunder methods
@@ -361,15 +341,40 @@ class GraphSnapshot:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GraphSnapshot):
             return NotImplemented
-        return self._n == other._n and self._adj_by_port == other._adj_by_port
+        return (
+            self._n == other._n
+            and self._indptr == other._indptr
+            and self._nbrs == other._nbrs
+        )
 
     def __hash__(self) -> int:
-        return hash(
-            (self._n, tuple(frozenset(p.items()) for p in self._adj_by_port))
-        )
+        return hash((self._n, self._indptr, self._nbrs))
 
     def __repr__(self) -> str:
         return f"GraphSnapshot(n={self._n}, m={self.num_edges})"
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(self._n))
+
+
+def _check_structure(n: int, adj_by_port: Sequence[Mapping[int, int]]) -> None:
+    """Raise ``ValueError`` unless the port maps describe a simple graph
+    with ports ``1..degree`` at every node."""
+    for v, ports in enumerate(adj_by_port):
+        degree = len(ports)
+        if sorted(ports) != list(range(1, degree + 1)):
+            raise ValueError(
+                f"node {v}: ports must be exactly 1..{degree}, "
+                f"got {sorted(ports)}"
+            )
+        if len(set(ports.values())) != degree:
+            raise ValueError(f"node {v}: parallel edges are not allowed")
+        for nbr in ports.values():
+            if not (0 <= nbr < n):
+                raise ValueError(f"node {v}: neighbor {nbr} out of range")
+            if nbr == v:
+                raise ValueError(f"self-loop at node {v} is not allowed")
+            if v not in adj_by_port[nbr].values():
+                raise ValueError(
+                    f"asymmetric adjacency: {v}->{nbr} has no reverse"
+                )

@@ -38,7 +38,8 @@ def validate_snapshot(
       allows edge churn only, never node churn;
     * the graph is connected (unless ``require_connected`` is False);
     * port labels are structurally sound (this is established at snapshot
-      construction; re-checked cheaply here via degree bounds).
+      construction; re-checked cheaply here via degree bounds on the CSR
+      ``indptr``).
 
     Raises :class:`GraphValidationError` with the offending round index in
     the message when a check fails.
@@ -54,9 +55,11 @@ def validate_snapshot(
             f"snapshot{where} is disconnected; the 1-interval connected "
             "model requires every G_r to be connected"
         )
-    for v in snapshot.nodes():
-        degree = snapshot.degree(v)
-        if degree > snapshot.n - 1:
+    n = snapshot.n
+    indptr, _ = snapshot.csr()
+    for v in range(n):
+        degree = indptr[v + 1] - indptr[v]
+        if degree > n - 1:
             raise GraphValidationError(
                 f"node {v}{where} has degree {degree} > n-1; "
                 "parallel edges or self-loops present"

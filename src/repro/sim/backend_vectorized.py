@@ -6,9 +6,10 @@ root-path sets as dicts and dataclasses every round.  This backend keeps
 the same engine-owned ground truth but executes the hot phases on flat
 integer arrays:
 
-* the round snapshot becomes a CSR adjacency table (``indptr`` +
-  port-ordered ``neighbors``; cached per snapshot object, so static
-  graphs pay the conversion once per run);
+* the round snapshot is read as the CSR adjacency it stores (``indptr``
+  + port-ordered ``neighbors``); the snapshot keeps the numpy copies it
+  converts on first use, so static graphs pay the conversion once per
+  run and churn graphs once per round;
 * alive robots become sorted ``(node, id)`` arrays, from which per-node
   representative / multiplicity / max-id columns fall out of one
   ``lexsort``;
@@ -70,20 +71,19 @@ __all__ = [
 
 
 def snapshot_to_csr(snapshot) -> Tuple[np.ndarray, np.ndarray]:
-    """A snapshot as CSR adjacency: ``(indptr, neighbors)``.
+    """A snapshot's CSR adjacency ``(indptr, neighbors)`` as int64 arrays.
 
     ``neighbors[indptr[v]:indptr[v + 1]]`` lists ``v``'s neighbors in
     increasing port order, so the port of entry ``j`` of the slice is
-    ``j + 1`` (ports are a bijection onto ``1..degree``).
+    ``j + 1``.  The arrays are converted once per snapshot, read-only.
     """
-    n = snapshot.n
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    flat: List[int] = []
-    for v in range(n):
-        nbrs = snapshot.neighbors(v)
-        indptr[v + 1] = indptr[v] + len(nbrs)
-        flat.extend(nbrs)
-    return indptr, np.asarray(flat, dtype=np.int64)
+    return snapshot.csr(_readonly_int64)
+
+
+def _readonly_int64(values: Tuple[int, ...]) -> np.ndarray:
+    array = np.array(values, dtype=np.int64)
+    array.setflags(write=False)
+    return array
 
 
 def occupied_subgraph_edges(
@@ -436,8 +436,6 @@ class VectorizedBackend(ReferenceBackend):
 
     def on_bind(self) -> None:
         engine = self.engine
-        self._csr_snapshot = None
-        self._csr: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._round: Optional[_RoundArrays] = None
 
         algorithm = engine._algorithm
@@ -476,10 +474,7 @@ class VectorizedBackend(ReferenceBackend):
         if not self._fast_observe:
             self._round = None
             return super().observe(snapshot, round_index)
-        if self._csr_snapshot is not snapshot:
-            self._csr = snapshot_to_csr(snapshot)
-            self._csr_snapshot = snapshot
-        indptr, neighbors = self._csr
+        indptr, neighbors = snapshot_to_csr(snapshot)
         positions = dict(engine._positions)
         self._round = _RoundArrays(
             snapshot, round_index, positions, indptr, neighbors

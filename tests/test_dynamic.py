@@ -1,7 +1,11 @@
 """Tests for dynamic-graph processes and validation."""
 
+import json
+import random
+
 import pytest
 
+import repro
 from repro.graph.dynamic import (
     FunctionalDynamicGraph,
     RandomChurnDynamicGraph,
@@ -17,6 +21,7 @@ from repro.graph.validation import (
     validate_prefix,
     validate_snapshot,
 )
+from repro.sim.traceio import run_fingerprint, snapshot_to_dict
 
 
 class TestRoundContext:
@@ -203,3 +208,61 @@ class TestValidation:
         )
         with pytest.raises(GraphValidationError):
             validate_prefix(bad, 3, expected_n=4)
+
+
+class TestOrderSensitivePins:
+    """Values that depend on the order snapshots are built and walked in.
+
+    The persistence path draws one ``rng.random()`` per previous-round
+    edge in ``edges()`` order, and ports come from shuffling each node's
+    ascending neighbour list; any change to either order moves these
+    pins.  Run fingerprints cover both backends and the snapshots of every
+    round (``collect_snapshots``).
+    """
+
+    @staticmethod
+    def fingerprints(graph, params):
+        spec = repro.make_spec(
+            graph, params, k=10, seed=3, collect_snapshots=True, label="pin"
+        )
+        return {
+            run_fingerprint(repro.run(spec, backend=backend))
+            for backend in ("reference", "vectorized")
+        }
+
+    @pytest.mark.parametrize(
+        "persistence,expected",
+        [
+            (0.5, "d024b24546c21c825b58766309a6cf5c3d6f07710efd71bfa2dd178ef245fa86"),
+            (1.0, "96257478d47b223a3fa67b493183a407d810b70e9d9d7da3ff784de4abbc04b5"),
+        ],
+    )
+    def test_random_churn_persistence_fingerprint(self, persistence, expected):
+        params = {"n": 14, "extra_edges": 7, "persistence": persistence, "seed": 5}
+        assert self.fingerprints("random_churn", params) == {expected}
+
+    def test_t_interval_churn_fingerprint(self):
+        params = {"n": 14, "interval": 3, "extra_edges": 5, "seed": 5}
+        assert self.fingerprints("t_interval_churn", params) == {
+            "2415d1ded66cbb2bec2a59f09d9e2f5d13aaaff616a08d5acbe6edab0910ba4c"
+        }
+
+    def test_relabeled_ports_snapshot_dict(self):
+        base = GraphSnapshot.from_edges(
+            5, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 4), (3, 4)]
+        )
+        relabeled = base.relabeled_ports(random.Random(7))
+        assert json.dumps(snapshot_to_dict(relabeled)) == (
+            '{"n": 5, "ports": [{"1": 3, "2": 1, "3": 2}, {"1": 0, "2": 2}, '
+            '{"1": 1, "2": 0, "3": 4}, {"1": 4, "2": 0}, {"1": 3, "2": 2}]}'
+        )
+
+    def test_churn_round_edges_order(self):
+        """``edges()`` is u ascending, then u's port order -- not sorted by v."""
+        dyn = RandomChurnDynamicGraph(7, extra_edges=4, persistence=0.5, seed=2)
+        assert [(e.u, e.port_u, e.v, e.port_v) for e in dyn.snapshot(1).edges()] == [
+            (0, 1, 4, 3), (0, 2, 5, 5), (1, 1, 6, 1), (1, 2, 2, 2),
+            (1, 3, 5, 4), (2, 1, 4, 4), (2, 3, 5, 2), (2, 4, 6, 3),
+            (2, 5, 3, 2), (3, 1, 6, 2), (3, 3, 4, 2), (3, 4, 5, 1),
+            (4, 1, 6, 4), (5, 3, 6, 5),
+        ]

@@ -1,10 +1,15 @@
 """Unit tests for the port-labelled graph snapshot."""
 
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.snapshot import GraphSnapshot, PortLabeledEdge
+from repro.sim.backend_vectorized import snapshot_to_csr
+from repro.sim.traceio import snapshot_to_dict
 
 
 def triangle() -> GraphSnapshot:
@@ -233,5 +238,140 @@ class TestEquality:
     def test_hashable(self):
         assert len({triangle(), triangle()}) == 1
 
+    def test_serialization_ignores_port_map_insertion_order(self):
+        """Equal snapshots serialize identically, ports ascending, even
+        without ``sort_keys``."""
+        a = GraphSnapshot.from_port_maps(
+            3, [{1: 1, 2: 2}, {1: 0, 2: 2}, {1: 0, 2: 1}]
+        )
+        b = GraphSnapshot.from_port_maps(
+            3, [{2: 2, 1: 1}, {2: 2, 1: 0}, {2: 1, 1: 0}]
+        )
+        assert a == b and hash(a) == hash(b)
+        assert list(b.port_map(0)) == [1, 2]
+        assert json.dumps(snapshot_to_dict(a)) == json.dumps(snapshot_to_dict(b))
+
     def test_not_equal_to_other_type(self):
         assert triangle() != "graph"
+
+
+# ----------------------------------------------------------------------
+# Property tests: the snapshot contract over random simple graphs
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def random_snapshots(draw):
+    """A snapshot from a random simple edge list, ports canonical or
+    shuffled by a seeded ``rng``."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    pairs = st.tuples(
+        st.integers(min_value=0, max_value=n - 1),
+        st.integers(min_value=0, max_value=n - 1),
+    ).filter(lambda e: e[0] != e[1])
+    edges = draw(
+        st.lists(pairs, unique_by=frozenset, max_size=n * (n - 1) // 2)
+    )
+    seed = draw(st.none() | st.integers(min_value=0, max_value=2**16))
+    rng = None if seed is None else random.Random(seed)
+    return GraphSnapshot.from_edges(n, edges, rng=rng)
+
+
+def first_node_with_an_edge(snap):
+    return next(v for v in snap.nodes() if snap.degree(v) > 0)
+
+
+class TestSnapshotContract:
+    @given(random_snapshots())
+    @settings(max_examples=150, deadline=None)
+    def test_port_maps_round_trip(self, snap):
+        rebuilt = GraphSnapshot.from_port_maps(
+            snap.n, [snap.port_map(v) for v in snap]
+        )
+        assert rebuilt == snap and hash(rebuilt) == hash(snap)
+
+    @given(random_snapshots())
+    @settings(max_examples=150, deadline=None)
+    def test_port_of_inverts_neighbor_via(self, snap):
+        for v in snap:
+            for u in snap.neighbors(v):
+                assert snap.neighbor_via(v, snap.port_of(v, u)) == u
+
+    @given(random_snapshots())
+    @settings(max_examples=150, deadline=None)
+    def test_neighbors_match_csr_and_are_python_ints(self, snap):
+        indptr, neighbors = snapshot_to_csr(snap)
+        for v in snap:
+            assert list(snap.neighbors(v)) == (
+                neighbors[indptr[v]:indptr[v + 1]].tolist()
+            )
+            assert all(type(u) is int for u in snap.neighbors(v))
+            assert type(snap.degree(v)) is int
+            assert all(
+                type(snap.neighbor_via(v, p)) is int for p in snap.ports(v)
+            )
+
+    @given(random_snapshots())
+    @settings(max_examples=150, deadline=None)
+    def test_edges_in_canonical_order(self, snap):
+        expected = [
+            (u, v) for u in snap for v in snap.neighbors(u) if u < v
+        ]
+        assert [(e.u, e.v) for e in snap.edges()] == expected
+        for e in snap.edges():
+            assert e.port_u == snap.port_of(e.u, e.v)
+            assert e.port_v == snap.port_of(e.v, e.u)
+        assert snap.num_edges == len(expected)
+
+    @given(random_snapshots())
+    @settings(max_examples=150, deadline=None)
+    def test_ports_out_of_range_raise(self, snap):
+        for v in snap:
+            degree = snap.degree(v)
+            for port in (0, -1, -degree, degree + 1):
+                with pytest.raises(ValueError, match=f"node {v} has no port"):
+                    snap.neighbor_via(v, port)
+
+    @given(random_snapshots())
+    @settings(max_examples=100, deadline=None)
+    def test_malformed_port_maps_keep_their_messages(self, snap):
+        if snap.num_edges == 0:
+            return
+        n = snap.n
+        v = first_node_with_an_edge(snap)
+        degree = snap.degree(v)
+
+        def rejected(maps):
+            with pytest.raises(ValueError) as err:
+                GraphSnapshot.from_port_maps(n, maps)
+            return str(err.value)
+
+        def with_node(ports):
+            maps = [snap.port_map(u) for u in snap]
+            maps[v] = ports
+            return maps
+
+        shifted = {p + 1: u for p, u in snap.port_map(v).items()}
+        assert rejected(with_node(shifted)) == (
+            f"node {v}: ports must be exactly 1..{degree}, "
+            f"got {sorted(shifted)}"
+        )
+        assert rejected(with_node({**snap.port_map(v), 1: n})) == (
+            f"node {v}: neighbor {n} out of range"
+        )
+        assert rejected(with_node({**snap.port_map(v), 1: v})) == (
+            f"self-loop at node {v} is not allowed"
+        )
+        if degree >= 2:
+            doubled = {**snap.port_map(v), 2: snap.neighbor_via(v, 1)}
+            assert rejected(with_node(doubled)) == (
+                f"node {v}: parallel edges are not allowed"
+            )
+        strangers = [
+            x for x in snap if x != v and not snap.has_edge(v, x)
+        ]
+        if strangers:
+            extra = {**snap.port_map(v), degree + 1: strangers[0]}
+            assert rejected(with_node(extra)) == (
+                f"asymmetric adjacency: {v}->{strangers[0]} has no reverse"
+            )
