@@ -69,9 +69,10 @@ __all__ = [
 #: ``repro lint --all`` enforces this transitively over every
 #: registered backend -- reference, vectorized and future ones alike
 #: (rule E001 in :mod:`repro.lint.deep.contracts`); backend-private
-#: caches (``self._csr`` and friends) are always fair game.  Widening a
-#: phase's row here is an API change: it must come with a docs/model.md
-#: contract-table update and a cross-backend equivalence argument.
+#: state (the vectorized backend's per-round ``self._round`` arrays and
+#: the like) is always fair game.  Widening a phase's row here is an
+#: API change: it must come with a docs/model.md contract-table update
+#: and a cross-backend equivalence argument.
 PHASE_MUTABLE_ATTRS: Mapping[str, FrozenSet[str]] = {
     # observe charges the packet counters and nothing else.
     "observe": frozenset({"_packets_broadcast", "_packet_deliveries"}),

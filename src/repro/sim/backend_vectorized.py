@@ -22,33 +22,32 @@ integer arrays:
   increasing-leaf-ID path selection with early exit at the truncation
   cap, smallest-stays root rule, largest-moves interior rule).
 
-Observations are delivered lazily: the engine and the fast compute path
-never read them (the move map is computed from the arrays), so packet
-objects are only materialized -- via the reference code path, for
+Observations are delivered lazily: the engine and the array compute
+path never read them (the move map is computed from the arrays), so
+packet objects are only materialized -- via the reference code path, for
 byte-identical content -- when an observer or the termination-detection
 round actually subscripts the mapping.
 
-Every fast path falls back to the inherited :class:`ReferenceBackend`
-implementation when its preconditions do not hold (byzantine robots,
-local communication, a subclassed algorithm, ...), so the backend is
-*always* bit-identical to the reference -- the cross-backend fingerprint
-tests enforce this across the golden campaign and all scheduler models.
+The arrays model one case: stock fast-mode :class:`DispersionDynamic`
+under its declared model, where every robot receives the same packets
+and computes the same move map (Lemmas 1, 2 and 4).  The backend decides
+once per run, at bind time, whether a run is that case; every other run
+(byzantine robots, local communication, faithful mode, an ablation
+subclass, another algorithm) runs the inherited :class:`ReferenceBackend`
+phases wholesale and builds no arrays.  Either way the backend is
+bit-identical to the reference; the cross-backend tests enforce this
+across the golden campaign, all scheduler models and generated specs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.core.dispersion import DispersionDynamic
 from repro.robots.memory import bits_for_state
-from repro.sim.algorithm import (
-    Decision,
-    MoveDecision,
-    RobotAlgorithm,
-    STAY,
-)
+from repro.sim.algorithm import Decision, MoveDecision, STAY
 from repro.sim.backend import ReferenceBackend
 from repro.sim.observation import (
     CommunicationModel,
@@ -156,11 +155,12 @@ def _label_from_edges(
 class _LazyObservations(Mapping):
     """``{robot_id: Observation}`` materialized on first subscript.
 
-    The fast compute path reads the round's arrays instead, so for most
+    The array compute path reads the round's arrays instead, so for most
     rounds no packet object is ever built; when an observer (or the
     termination-detection round) does subscript, the reference packet
-    pipeline runs on state captured at observe time, producing content
-    byte-identical to the reference backend's eager delivery.
+    pipeline runs on state captured at observe time (global packets with
+    neighborhood knowledge, the array path's only model), producing
+    content byte-identical to the reference backend's eager delivery.
     """
 
     __slots__ = (
@@ -168,8 +168,6 @@ class _LazyObservations(Mapping):
         "_round_index",
         "_positions",
         "_entry_ports",
-        "_communication",
-        "_neighborhood_knowledge",
         "_materialized",
     )
 
@@ -179,30 +177,24 @@ class _LazyObservations(Mapping):
         round_index: int,
         positions: Dict[int, int],
         entry_ports: Dict[int, int],
-        communication: CommunicationModel,
-        neighborhood_knowledge: bool,
     ) -> None:
         self._snapshot = snapshot
         self._round_index = round_index
         self._positions = positions
         self._entry_ports = entry_ports
-        self._communication = communication
-        self._neighborhood_knowledge = neighborhood_knowledge
         self._materialized: Optional[Mapping[int, Observation]] = None
 
     def _materialize(self) -> Mapping[int, Observation]:
         if self._materialized is None:
             packets = build_info_packets(
-                self._snapshot,
-                self._positions,
-                neighborhood_knowledge=self._neighborhood_knowledge,
+                self._snapshot, self._positions, neighborhood_knowledge=True
             )
             self._materialized = observations_from_packets(
                 packets,
                 self._positions,
                 self._round_index,
-                communication=self._communication,
-                neighborhood_knowledge=self._neighborhood_knowledge,
+                communication=CommunicationModel.GLOBAL,
+                neighborhood_knowledge=True,
                 entry_ports=self._entry_ports,
             )
         return self._materialized
@@ -223,12 +215,9 @@ class _LazyObservations(Mapping):
 
 
 class _RoundArrays:
-    """Everything the fast paths need about one round, as flat arrays."""
+    """Everything the array path needs about one round, as flat arrays."""
 
     __slots__ = (
-        "snapshot",
-        "round_index",
-        "occupied",
         "occ_nodes",
         "rep",
         "counts",
@@ -247,15 +236,10 @@ class _RoundArrays:
 
     def __init__(
         self,
-        snapshot,
-        round_index: int,
         positions: Dict[int, int],
         indptr: np.ndarray,
         neighbors: np.ndarray,
     ) -> None:
-        self.snapshot = snapshot
-        self.round_index = round_index
-
         k_alive = len(positions)
         rids = np.fromiter(positions.keys(), dtype=np.int64, count=k_alive)
         nodes = np.fromiter(positions.values(), dtype=np.int64, count=k_alive)
@@ -266,7 +250,6 @@ class _RoundArrays:
         counts_np = np.diff(np.append(first, k_alive))
         n_occ = occ_np.shape[0]
 
-        self.occupied: FrozenSet[int] = frozenset(occ_np.tolist())
         self.occ_nodes: List[int] = occ_np.tolist()
         self.rep: List[int] = rids_sorted[first].tolist()
         self.counts: List[int] = counts_np.tolist()
@@ -427,84 +410,64 @@ class _RoundArrays:
 class VectorizedBackend(ReferenceBackend):
     """Struct-of-arrays phase execution, bit-identical to the reference.
 
-    Inherits the (cheap) move/settle/activate phases and falls back to
-    the inherited implementation of every overridden phase when the fast
-    path's preconditions do not hold.
+    Inherits the (cheap) activate/move/settle phases.  Whether the run is
+    the case the arrays model is decided once, in :meth:`on_bind`; when
+    it is not, every overridden phase is the inherited one.
     """
 
     name = "vectorized"
 
     def on_bind(self) -> None:
         engine = self.engine
-        self._round: Optional[_RoundArrays] = None
-
         algorithm = engine._algorithm
-        # No byzantine robots: forged packets feed both observations and
-        # honest decisions, so everything must go through the reference
-        # packet pipeline.
-        self._fast_observe = not engine._byzantine
-        # The fully-array compute path additionally requires the stock
-        # DispersionDynamic fast mode under its declared model; ablation
-        # subclasses (overridden component_moves / decide) and faithful
-        # mode fall back to reference decide over lazy observations.
-        self._fast_compute = (
-            self._fast_observe
+        self._round: Optional[_RoundArrays] = None
+        # The arrays model stock fast-mode Algorithm 4 under its declared
+        # model: honest robots, global packets with neighborhood
+        # knowledge, and no overridden hook (ablation subclasses replace
+        # component_moves, faithful mode recomputes per robot).  Its
+        # persistent state is {"id": robot_id} and bit cost is monotone
+        # in the id, so the memory audit is one call on the largest id.
+        self._fast = (
+            not engine._byzantine
             and engine._communication is CommunicationModel.GLOBAL
             and engine._neighborhood_knowledge
             and isinstance(algorithm, DispersionDynamic)
-            and type(algorithm).decide is DispersionDynamic.decide
-            and type(algorithm).component_moves
-            is DispersionDynamic.component_moves
-            and type(algorithm).on_round_start
-            is DispersionDynamic.on_round_start
-            and not getattr(algorithm, "_faithful", True)
-        )
-        # Stock persistent state is {"id": robot_id}: the audit reduces
-        # to one bits_for_state call on the largest honest id (bit cost
-        # is monotone in the id, with or without a declared bound).
-        self._fast_audit = (
-            type(algorithm).persistent_state
-            is RobotAlgorithm.persistent_state
+            and not algorithm._faithful
+            and all(
+                getattr(type(algorithm), hook)
+                is getattr(DispersionDynamic, hook)
+                for hook in (
+                    "decide",
+                    "component_moves",
+                    "on_round_start",
+                    "persistent_state",
+                )
+            )
         )
 
     # -- phases ---------------------------------------------------------
 
     def observe(self, snapshot, round_index: int):
-        engine = self.engine
-        if not self._fast_observe:
-            self._round = None
+        if not self._fast:
             return super().observe(snapshot, round_index)
-        indptr, neighbors = snapshot_to_csr(snapshot)
+        engine = self.engine
         positions = dict(engine._positions)
-        self._round = _RoundArrays(
-            snapshot, round_index, positions, indptr, neighbors
-        )
+        self._round = _RoundArrays(positions, *snapshot_to_csr(snapshot))
         num_occupied = len(self._round.occ_nodes)
         engine._packets_broadcast += num_occupied
-        if engine._communication is CommunicationModel.GLOBAL:
-            engine._packet_deliveries += num_occupied * len(positions)
-        else:
-            engine._packet_deliveries += len(positions)
+        engine._packet_deliveries += num_occupied * len(positions)
         return _LazyObservations(
-            snapshot,
-            round_index,
-            positions,
-            dict(engine._entry_ports),
-            engine._communication,
-            engine._neighborhood_knowledge,
+            snapshot, round_index, positions, dict(engine._entry_ports)
         )
 
     def compute(
         self, snapshot, round_index: int, observations, active
     ) -> Dict[int, Decision]:
-        arrays = self._round
-        if (
-            not self._fast_compute
-            or arrays is None
-            or arrays.snapshot is not snapshot
-            or arrays.round_index != round_index
-        ):
+        if not self._fast:
             return super().compute(snapshot, round_index, observations, active)
+        # The engine observes every round before computing, on the same
+        # snapshot and positions, so the arrays are this round's.
+        arrays = self._round
         if not arrays.has_multiplicity:
             # No multiplicity packet anywhere: every robot stays
             # (DispersionDynamic's termination test).
@@ -519,30 +482,18 @@ class VectorizedBackend(ReferenceBackend):
         return decisions
 
     def audit_memory(self) -> int:
-        if not self._fast_audit:
+        if not self._fast:
             return super().audit_memory()
         engine = self.engine
-        if engine._byzantine:
-            honest = [
-                robot_id
-                for robot_id in engine._positions
-                if robot_id not in engine._byzantine
-            ]
-        else:
-            honest = list(engine._positions)
-        if not honest:
+        if not engine._positions:
             return 0
         bounds = engine._algorithm.persistent_state_bounds(
             engine._k, engine._n
         )
-        return bits_for_state({"id": max(honest)}, bounds=bounds)
+        return bits_for_state({"id": max(engine._positions)}, bounds=bounds)
 
     def count_occupied_components(self, snapshot, occupied) -> int:
-        arrays = self._round
-        if (
-            arrays is not None
-            and arrays.snapshot is snapshot
-            and arrays.occupied == occupied
-        ):
-            return arrays.num_components
-        return super().count_occupied_components(snapshot, occupied)
+        if not self._fast:
+            return super().count_occupied_components(snapshot, occupied)
+        # Called for the round just observed, on its occupied set.
+        return self._round.num_components

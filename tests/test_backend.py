@@ -7,13 +7,21 @@ property grid across graph families and scheduler models, fingerprints
 the campaign-shaped specs both ways, pins the component-labeling kernel
 on a disconnected dynamic-graph round, and covers the spec/registry/API
 surface (``backend`` field digests, ``repro.run(backend=...)``, CLI
-flags, unknown-name failures).
+flags, unknown-name failures).  A Hypothesis differential test extends
+the grid to generated specs over every registered algorithm, and a
+construction count pins that runs outside the array path build no
+arrays at all.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
+from repro.core.dispersion import DispersionDynamic
+from repro.graph.generators import FAMILY_BUILDERS
+from repro.sim import backend_vectorized
 from repro.sim.backend import EngineBackend, ReferenceBackend
 from repro.sim.backend_vectorized import (
     VectorizedBackend,
@@ -22,9 +30,11 @@ from repro.sim.backend_vectorized import (
 )
 from repro.sim.spec import (
     ComponentSpec,
+    CrashSpec,
     PlacementSpec,
     RunSpec,
     SpecError,
+    build_algorithm,
     build_backend,
     execute,
     registered_components,
@@ -44,10 +54,22 @@ SCHEDULERS = {
 }
 
 
+VECTORIZED = ComponentSpec("vectorized")
+
+#: The campaign's scheduler-models base instance.
+CHURN_BASE = RunSpec(
+    graph=ComponentSpec(
+        "random_churn", {"n": 18, "extra_edges": 9, "seed": 3}
+    ),
+    placement=PlacementSpec(kind="rooted", k=12),
+    max_rounds=4000,
+)
+
+
 def both_backends(spec):
     """Execute ``spec`` under both backends; return the two results."""
     reference = execute(spec)
-    vectorized = execute(spec.with_(backend=ComponentSpec("vectorized")))
+    vectorized = execute(spec.with_(backend=VECTORIZED))
     return reference, vectorized
 
 
@@ -97,8 +119,6 @@ class TestCrossBackendEquivalence:
         assert_bit_identical(spec)
 
     def test_crash_faults_fall_back_identically(self):
-        from repro.sim.spec import CrashSpec
-
         spec = repro.make_spec(
             "random_churn",
             {"n": 20, "extra_edges": 10, "seed": 3},
@@ -137,19 +157,27 @@ class TestCrossBackendEquivalence:
         assert_bit_identical(spec)
 
     def test_campaign_shaped_specs_fingerprint_equal(self):
-        """The campaign's scheduler-models base instance, all models."""
-        base = RunSpec(
-            graph=ComponentSpec(
-                "random_churn", {"n": 18, "extra_edges": 9, "seed": 3}
-            ),
-            placement=PlacementSpec(kind="rooted", k=12),
-            max_rounds=4000,
-        )
-        for name in sorted(SCHEDULERS):
-            reference, vectorized = both_backends(
-                base.with_(scheduler=SCHEDULERS[name], label=f"fp {name}")
-            )
-            assert run_fingerprint(reference) == run_fingerprint(vectorized)
+        """The campaign's scheduler-models base instance, all models,
+        under Algorithm 4, its faithful mode and the four ablations (the
+        last five run the reference phases inside the vectorized
+        backend)."""
+        for algorithm in (
+            ComponentSpec("dispersion_dynamic"),
+            ComponentSpec("dispersion_dynamic", {"faithful": True}),
+            ComponentSpec("ablation_bfs_tree"),
+            ComponentSpec("ablation_descending_leaf_order"),
+            ComponentSpec("ablation_no_disjointness"),
+            ComponentSpec("ablation_no_truncation"),
+        ):
+            for name in sorted(SCHEDULERS):
+                reference, vectorized = both_backends(CHURN_BASE.with_(
+                    algorithm=algorithm,
+                    scheduler=SCHEDULERS[name],
+                    label=f"fp {algorithm.name} {name}",
+                ))
+                assert run_fingerprint(reference) == run_fingerprint(
+                    vectorized
+                ), (algorithm, name)
 
     @pytest.mark.parametrize(
         "n,k", [(96, 72), (192, 144), (384, 288), (512, 384)]
@@ -175,6 +203,160 @@ class TestCrossBackendEquivalence:
         assert reference.rounds == vectorized.rounds
         assert reference.total_moves == vectorized.total_moves
         assert run_result_to_json(reference) == run_result_to_json(vectorized)
+
+
+# ----------------------------------------------------------------------
+# Generated specs: reference and vectorized must fingerprint equal
+# ----------------------------------------------------------------------
+
+
+def _declared_model(name):
+    """``(communication, requires_nk, schedulers, byzantine_ok)`` of an
+    algorithm.  Byzantine policies forge broadcast packets, an attack on
+    Algorithm 4 and its ablations; the baselines and lower-bound
+    candidates assume every packet is true (a robot finds its own id in
+    its own packet, every listed id is a real robot)."""
+    algorithm = build_algorithm(
+        CHURN_BASE.with_(algorithm=ComponentSpec(name))
+    )
+    return (
+        algorithm.requires_communication.value,
+        algorithm.requires_neighborhood_knowledge,
+        sorted(set(algorithm.compatible_schedulers) & set(SCHEDULERS)),
+        isinstance(algorithm, DispersionDynamic),
+    )
+
+
+DECLARED_MODELS = {
+    name: _declared_model(name)
+    for name in sorted(registered_components()["algorithm"])
+}
+
+
+@st.composite
+def generated_specs(draw):
+    """A small run that is valid under its algorithm's declared model."""
+    name = draw(st.sampled_from(sorted(DECLARED_MODELS)))
+    communication, requires_nk, schedulers, byzantine_ok = (
+        DECLARED_MODELS[name]
+    )
+    params = (
+        {"faithful": draw(st.booleans())}
+        if name == "dispersion_dynamic" else {}
+    )
+    n = draw(st.integers(min_value=4, max_value=14))
+    k = draw(st.integers(min_value=2, max_value=n))
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    if draw(st.booleans()):
+        graph = ComponentSpec(
+            "random_churn",
+            {"n": n, "extra_edges": draw(st.integers(0, n)), "seed": seed},
+        )
+    else:
+        family = draw(st.sampled_from(sorted(FAMILY_BUILDERS)))
+        graph = ComponentSpec(
+            "static_family", {"family": family, "n": n, "seed": seed}
+        )
+    fault = draw(st.sampled_from(
+        ["none", "crash", "byzantine"] if byzantine_ok else ["none", "crash"]
+    ))
+    crash = None
+    byzantine = {}
+    if fault == "crash":
+        crash = CrashSpec(kind="events", events=((
+            draw(st.integers(1, k)),
+            draw(st.integers(0, 6)),
+            draw(st.sampled_from(["before_communicate", "after_compute"])),
+        ),))
+    elif fault == "byzantine":
+        policy = draw(st.sampled_from(registered_components()["byzantine"]))
+        byzantine = {draw(st.integers(1, k)): ComponentSpec(policy)}
+    return RunSpec(
+        graph=graph,
+        placement=PlacementSpec(
+            kind=draw(st.sampled_from(["rooted", "arbitrary"])), k=k
+        ),
+        algorithm=ComponentSpec(name, params),
+        scheduler=SCHEDULERS[draw(st.sampled_from(schedulers))],
+        communication=communication,
+        neighborhood_knowledge=requires_nk or draw(st.booleans()),
+        crash=crash,
+        byzantine=byzantine,
+        seed=seed,
+        max_rounds=80,
+    )
+
+
+class TestGeneratedSpecs:
+    @given(generated_specs())
+    @settings(max_examples=800, deadline=None, derandomize=True)
+    def test_backends_fingerprint_equal(self, spec):
+        reference, vectorized = both_backends(spec)
+        assert run_fingerprint(reference) == run_fingerprint(vectorized), (
+            spec.to_json()
+        )
+
+
+# ----------------------------------------------------------------------
+# The array path is chosen once per run
+# ----------------------------------------------------------------------
+
+
+def _count_constructions(monkeypatch):
+    """Count CSR conversions and round/observation array objects."""
+    counts = {"csr": 0, "arrays": 0, "lazy": 0}
+
+    def counting(key, build):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return build(*args, **kwargs)
+        return wrapper
+
+    for key, attribute in (
+        ("csr", "snapshot_to_csr"),
+        ("arrays", "_RoundArrays"),
+        ("lazy", "_LazyObservations"),
+    ):
+        monkeypatch.setattr(
+            backend_vectorized,
+            attribute,
+            counting(key, getattr(backend_vectorized, attribute)),
+        )
+    return counts
+
+
+class TestArrayPathDecision:
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"algorithm": ComponentSpec(
+                "dispersion_dynamic", {"faithful": True})},
+            {"algorithm": ComponentSpec("dfs_dispersion_local"),
+             "communication": "local"},
+            {"byzantine": {1: ComponentSpec("hide_multiplicity")},
+             "max_rounds": 60},
+            {"algorithm": ComponentSpec("ablation_no_truncation")},
+        ],
+        ids=["faithful", "local", "byzantine", "ablation"],
+    )
+    def test_reference_routed_runs_build_no_arrays(
+        self, monkeypatch, changes
+    ):
+        counts = _count_constructions(monkeypatch)
+        result = execute(CHURN_BASE.with_(backend=VECTORIZED, **changes))
+        assert result.rounds > 0
+        assert counts == {"csr": 0, "arrays": 0, "lazy": 0}
+
+    def test_stock_run_builds_arrays_once_per_round(self, monkeypatch):
+        counts = _count_constructions(monkeypatch)
+        result = execute(CHURN_BASE.with_(backend=VECTORIZED))
+        assert result.dispersed and result.rounds > 0
+        # one observe per round, plus the termination-detection observe
+        assert counts == {
+            "csr": result.rounds + 1,
+            "arrays": result.rounds + 1,
+            "lazy": result.rounds + 1,
+        }
 
 
 # ----------------------------------------------------------------------
