@@ -78,6 +78,11 @@ from repro.sim.store import (
 from repro.sim.traceio import run_result_to_dict
 
 
+def _result_json(result: RunResult) -> str:
+    """The canonical JSON of a result: what fingerprints and checks compare."""
+    return canonical_json(run_result_to_dict(result))
+
+
 class RecordingRunner(Runner):
     """Wraps any runner, folding every result into a sha256 fingerprint.
 
@@ -99,9 +104,7 @@ class RecordingRunner(Runner):
         """Delegate to the wrapped backend, hashing the results."""
         results = self.inner.run(specs)
         for result in results:
-            self._hash.update(
-                canonical_json(run_result_to_dict(result)).encode("utf-8")
-            )
+            self._hash.update(_result_json(result).encode("utf-8"))
             self._hash.update(b"\n")
         self.count += len(results)
         return results
@@ -309,9 +312,10 @@ class _MatrixScenario:
     """One faultable store workload of the crash matrix.
 
     ``prepare`` builds the pre-crash state with a clean store;
-    ``execute`` performs the operations whose op stream is enumerated;
-    ``after_crash`` simulates activity racing the crashed process (the
-    gc scenario's concurrent writer).
+    ``execute`` performs the operations whose op stream is enumerated
+    (by default, the grid through a caching runner, every miss
+    computed and published); ``after_crash`` simulates activity racing
+    the crashed process (the gc scenario's concurrent writer).
     """
 
     name = ""
@@ -327,7 +331,14 @@ class _MatrixScenario:
 
     def execute(self, store: RunStore) -> None:
         """The crash-point-enumerable operations."""
-        raise NotImplementedError
+        CachingRunner(SerialRunner(), store).run(self.specs)
+
+    def _put_all(self, store_root: pathlib.Path, durability: str) -> RunStore:
+        """A clean store at ``store_root`` holding every grid result."""
+        store = RunStore(store_root, durability=durability)
+        for spec, result in zip(self.specs, self.results):
+            store.put(spec, result)
+        return store
 
     def after_crash(self, store_root: pathlib.Path, durability: str) -> None:
         """Concurrent activity between the crash and the restart."""
@@ -338,9 +349,6 @@ class _WriteScenario(_MatrixScenario):
 
     name = "store-write"
 
-    def execute(self, store: RunStore) -> None:
-        CachingRunner(SerialRunner(), store).run(self.specs)
-
 
 class _RecomputeScenario(_MatrixScenario):
     """A corrupt entry is quarantined and recomputed on read."""
@@ -348,9 +356,7 @@ class _RecomputeScenario(_MatrixScenario):
     name = "recompute"
 
     def prepare(self, store_root: pathlib.Path, durability: str) -> None:
-        store = RunStore(store_root, durability=durability)
-        for spec, result in zip(self.specs, self.results):
-            store.put(spec, result)
+        store = self._put_all(store_root, durability)
         victim = store.path_for(store.digest(self.specs[0]))
         victim.write_bytes(
             corrupt_entry_bytes(
@@ -360,9 +366,6 @@ class _RecomputeScenario(_MatrixScenario):
             )
         )
 
-    def execute(self, store: RunStore) -> None:
-        CachingRunner(SerialRunner(), store).run(self.specs)
-
 
 class _GcScenario(_MatrixScenario):
     """Two-phase gc compaction racing a writer republishing a victim."""
@@ -370,9 +373,7 @@ class _GcScenario(_MatrixScenario):
     name = "gc-compaction"
 
     def prepare(self, store_root: pathlib.Path, durability: str) -> None:
-        store = RunStore(store_root, durability=durability)
-        for spec, result in zip(self.specs, self.results):
-            store.put(spec, result)
+        self._put_all(store_root, durability)
         stale = RunStore(store_root, salt="crash-matrix-stale-salt")
         for spec, result in zip(self.specs[:2], self.results[:2]):
             stale.put(spec, result)
@@ -506,7 +507,7 @@ def _check_recovery(
         existed = probe.path_for(digest).exists()
         got = probe.get(spec)
         if got is not None:
-            if canonical_json(run_result_to_dict(got)) != expected:
+            if _result_json(got) != expected:
                 problems.append(
                     {
                         "invariant": "no-torn-read",
@@ -531,7 +532,7 @@ def _check_recovery(
     warm_store = RunStore(store_root, durability=durability, clock=clock)
     warm = CachingRunner(SerialRunner(), warm_store)
     for spec, result, expected in zip(specs, warm.run(specs), baseline):
-        if canonical_json(run_result_to_dict(result)) != expected:
+        if _result_json(result) != expected:
             problems.append(
                 {
                     "invariant": "warm-convergence",
@@ -573,9 +574,7 @@ def run_crash_matrix(
     grid = list(specs) if specs is not None else _default_matrix_grid()
     baseline_runner = SerialRunner()
     results = baseline_runner.run(grid)
-    baseline = [
-        canonical_json(run_result_to_dict(result)) for result in results
-    ]
+    baseline = [_result_json(result) for result in results]
     report = CrashMatrixReport(
         durabilities=list(durabilities), spec_count=len(grid)
     )

@@ -14,8 +14,9 @@ invariants that keep both true:
 * **R-rules** -- registry hygiene: static component names (R001), no
   duplicate registrations (R002), factory arity matches the spec
   layer's calling convention (R003);
-* **H-rules** -- observer purity: hooks never mutate engine payloads
-  (H001) and never return values (H002).
+* **H-rules** -- observer purity: hooks never return values (H002).
+  That hooks never mutate engine payloads is checked once, by the
+  whole-program E003 below, which also sees aliases and helpers.
 
 ``repro lint --all`` adds one whole-program pass
 (:mod:`repro.lint.deep`) over a single shared index, call graph and

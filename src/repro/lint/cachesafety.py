@@ -18,8 +18,15 @@ import ast
 import re
 from typing import Iterator
 
+from repro.lint.determinism import SourceRule
 from repro.lint.findings import Finding, RuleInfo
-from repro.lint.rules import CACHE_SCOPE, ModuleContext, Rule, register_rule
+from repro.lint.rules import (
+    CACHE_SCOPE,
+    ModuleContext,
+    Rule,
+    dotted_name,
+    register_rule,
+)
 
 #: Format specs that render floats: a fixed/exponent/general conversion,
 #: optionally preceded by width/precision (``.3f``, ``>10.2e``, ``g``).
@@ -58,7 +65,7 @@ class NonCanonicalJson(Rule):
         for node in ast.walk(context.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = context.dotted_name(node.func)
+            dotted = dotted_name(node.func)
             if dotted not in ("json.dump", "json.dumps"):
                 continue
             sorted_keys = False
@@ -153,9 +160,10 @@ class FloatFormattingDrift(Rule):
 
 
 @register_rule
-class ProcessSaltedHash(Rule):
+class ProcessSaltedHash(SourceRule):
     """C003: the builtin ``hash()`` must not feed the digest path."""
 
+    kind = "builtin_hash"
     info = RuleInfo(
         code="C003",
         name="process-salted-hash",
@@ -171,16 +179,8 @@ class ProcessSaltedHash(Rule):
         example_good="key = hashlib.sha256(canonical_bytes).hexdigest()",
     )
 
-    def check(self, context: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "hash"
-            ):
-                yield self.finding(
-                    context,
-                    node,
-                    "builtin hash() is salted per process; use "
-                    "hashlib.sha256 over canonical bytes",
-                )
+    def message(self, detail: str) -> str:
+        return (
+            "builtin hash() is salted per process; use hashlib.sha256 "
+            "over canonical bytes"
+        )

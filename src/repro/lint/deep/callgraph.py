@@ -59,9 +59,9 @@ from repro.lint.deep.modindex import (
     FunctionInfo,
     ModuleInfo,
     ProjectIndex,
-    _dotted,
     _resolve_relative,
 )
+from repro.lint.rules import dotted_name
 
 #: Resolution results: a concrete callable, a class, or a registry dict.
 _Resolved = Union[
@@ -526,7 +526,7 @@ class _GraphBuilder:
                 ).body
             except SyntaxError:
                 return None
-        dotted = _dotted(annotation)
+        dotted = dotted_name(annotation)
         if dotted is None:
             return None
         parts = dotted.split(".")
@@ -746,7 +746,7 @@ class _GraphBuilder:
         """
         if not isinstance(node, ast.Call) or not node.args:
             return None
-        dotted = _dotted(node.func)
+        dotted = dotted_name(node.func)
         if dotted is None:
             return None
         parts = dotted.split(".")
@@ -787,7 +787,7 @@ class _GraphBuilder:
                 if method is not None:
                     return ("func", method)
                 return None
-        dotted = _dotted(func_expr)
+        dotted = dotted_name(func_expr)
         if dotted is None:
             return None
         parts = dotted.split(".")
@@ -953,7 +953,7 @@ class _GraphBuilder:
             ):
                 registry = f"{module.name}.{node.id}"
             elif isinstance(node, ast.Attribute):
-                dotted = _dotted(node)
+                dotted = dotted_name(node)
                 if dotted is not None:
                     resolved = self.resolver.resolve(module, dotted)
                     if resolved is not None and resolved[0] == "registry":

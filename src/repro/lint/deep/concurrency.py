@@ -26,31 +26,13 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Set, Tuple
 
-from repro.lint.deep.modindex import ModuleInfo, ProjectIndex, _dotted
+from repro.lint.deep.effects import MUTATING_METHODS
+from repro.lint.deep.modindex import ModuleInfo, ProjectIndex
 from repro.lint.findings import Finding
-from repro.lint.rules import path_in_scope
+from repro.lint.rules import dotted_name, path_in_scope
 
 #: The fork-boundary modules the F-rules apply to.
 FORK_SCOPE: Tuple[str, ...] = ("sim/runner.py", "chaos/runner.py")
-
-#: Methods that mutate a list/dict/set in place.
-_MUTATORS = frozenset(
-    {
-        "append",
-        "extend",
-        "insert",
-        "add",
-        "update",
-        "setdefault",
-        "pop",
-        "popitem",
-        "remove",
-        "discard",
-        "clear",
-        "sort",
-        "reverse",
-    }
-)
 
 #: Module-level calls that open a shared file handle at import time.
 _OPEN_CALLS = frozenset({"open", "io.open", "gzip.open", "bz2.open"})
@@ -132,7 +114,7 @@ def _check_global_writes(
             elif (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _MUTATORS
+                and node.func.attr in MUTATING_METHODS
                 and isinstance(node.func.value, ast.Name)
                 and node.func.value.id in mutables
             ):
@@ -162,7 +144,7 @@ def _check_import_time_handles(
     for node in _walk_module_scope(module):
         if not isinstance(node, ast.Call):
             continue
-        dotted = _dotted(node.func)
+        dotted = dotted_name(node.func)
         if dotted not in _OPEN_CALLS:
             continue
         yield (
@@ -185,7 +167,7 @@ def _check_import_time_handles(
 def _lockish(expr: ast.AST) -> str:
     """The dotted name of a lock-like context manager, else ``''``."""
     target = expr.func if isinstance(expr, ast.Call) else expr
-    dotted = _dotted(target)
+    dotted = dotted_name(target)
     if dotted is not None and "lock" in dotted.lower():
         return dotted
     return ""
@@ -205,7 +187,7 @@ def _check_locked_renames(
         for inner in ast.walk(node):
             if not isinstance(inner, ast.Call):
                 continue
-            dotted = _dotted(inner.func)
+            dotted = dotted_name(inner.func)
             if dotted not in _RENAME_CALLS:
                 continue
             yield (

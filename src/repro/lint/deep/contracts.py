@@ -17,9 +17,11 @@ through local aliases, helpers, registry-dispatched factories and
   documented out-parameter (:data:`repro.sim.backend.PHASE_OUT_PARAMS`);
   ``observe``/``compute`` handing back a mutated observation map is the
   canonical silent-corruption bug.
-* ``E003``: an observer ``on_*`` hook transitively mutates its payload
-  -- the interprocedural truth behind the syntactic H001, closing its
-  local-alias blind spot (``rr = payload; rr.robots.clear()``).
+* ``E003``: an observer ``on_*`` hook mutates its payload -- directly
+  (attribute or subscript store, ``del``, augmented assignment, a
+  mutating method call), through a local alias
+  (``rr = payload; rr.robots.clear()``) or through a helper.  It is the
+  only hook-mutation detector; the shallow tier keeps just H002.
 * ``E004``: a phase performs I/O; phase bodies are deterministic
   simulation code and must not touch the outside world.
 
@@ -48,7 +50,7 @@ All findings are fingerprinted location-free for the baseline gate:
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.deep.callgraph import CallGraph, _Resolver, iter_own_nodes
 from repro.lint.deep.concurrency import FORK_SCOPE

@@ -46,8 +46,8 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.deep.callgraph import CallGraph, iter_own_nodes
-from repro.lint.deep.modindex import FunctionInfo, ModuleInfo, _dotted
-from repro.lint.hookrules import MUTATING_METHODS
+from repro.lint.deep.modindex import FunctionInfo, ModuleInfo
+from repro.lint.rules import dotted_name
 
 #: Longest attribute path a mutation effect tracks; deeper stores are
 #: truncated (over-approximating toward "mutates the prefix object").
@@ -57,12 +57,32 @@ MAX_PATH = 6
 #: flags itself ``overflowed`` (soundness valve, never hit in this tree).
 MAX_EFFECTS = 512
 
+#: Method names that mutate their receiver in the stdlib containers
+#: (list/dict/set).  The fork-safety F001 check reuses this set.
+MUTATING_METHODS = frozenset(
+    {
+        "append",
+        "extend",
+        "insert",
+        "add",
+        "update",
+        "clear",
+        "pop",
+        "popitem",
+        "remove",
+        "discard",
+        "setdefault",
+        "sort",
+        "reverse",
+    }
+)
+
 #: numpy in-place methods, charged like the stdlib container mutators.
 NUMPY_INPLACE_METHODS = frozenset(
     {"fill", "put", "resize", "partition", "setflags", "itemset", "byteswap"}
 )
 
-MUTATOR_METHODS = frozenset(MUTATING_METHODS) | NUMPY_INPLACE_METHODS
+MUTATOR_METHODS = MUTATING_METHODS | NUMPY_INPLACE_METHODS
 
 #: Call names that perform I/O regardless of receiver.
 IO_CALLS = frozenset(
@@ -390,7 +410,7 @@ class _DirectPass:
         declared_globals: Set[str],
     ) -> None:
         func = node.func
-        dotted = _dotted(func)
+        dotted = dotted_name(func)
         if dotted in IO_CALLS:
             self._io(dotted, node)
             return

@@ -40,6 +40,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.engine import Target, load_modules
 from repro.lint.findings import Finding
+from repro.lint.rules import dotted_name
 
 
 @dataclass
@@ -134,19 +135,6 @@ def module_name_for(path: pathlib.Path) -> str:
     return ".".join(reversed(parts))
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a ``Name``/``Attribute`` chain, else ``None``."""
-    parts: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    parts.append(current.id)
-    return ".".join(reversed(parts))
-
-
 def _resolve_relative(package: str, level: int, module: Optional[str]) -> str:
     """The absolute module a ``from ... import`` statement targets."""
     if level == 0:
@@ -212,7 +200,7 @@ def _index_module_body(info: ModuleInfo, index: ProjectIndex) -> None:
             ):
                 info.registry_dicts.add(target.id)
             else:
-                dotted = _dotted(value)
+                dotted = dotted_name(value)
                 if dotted is not None and dotted != target.id:
                     info.aliases[target.id] = dotted
 
@@ -241,7 +229,7 @@ def _index_class(
     info: ModuleInfo, index: ProjectIndex, node: ast.ClassDef
 ) -> None:
     bases = tuple(
-        dotted for dotted in (_dotted(base) for base in node.bases)
+        dotted for dotted in (dotted_name(base) for base in node.bases)
         if dotted is not None
     )
     cls = ClassInfo(

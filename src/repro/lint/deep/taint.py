@@ -6,17 +6,18 @@ deterministic core.  This pass closes the remaining gap: a helper in
 any other module may contain such a source, and one innocent-looking
 call from ``sim/spec.py`` is enough to leak it into a digest.
 
-Seeds are collected per function body using the same detection logic as
-the shallow rules -- and two additional ordering sources the per-file
-rules deliberately leave to whole-program analysis, because they only
-matter when the iteration result flows onward:
+Seeds are collected per function body through the shallow rules' own
+classifier (:func:`repro.lint.determinism.nondeterminism_source`: wall
+clock, unseeded RNG, environment reads, builtin ``hash``) -- plus two
+ordering sources the per-file rules deliberately leave to whole-program
+analysis, because they only matter when the iteration result flows
+onward:
 
 * filesystem enumeration order (``os.listdir``, ``os.scandir``,
   ``glob.glob``/``iglob``, ``Path.iterdir``/``glob``/``rglob``) unless
   the call is wrapped directly in ``sorted(...)``;
 * iteration over a set display or ``set(...)``/``frozenset(...)`` call,
-  whose order varies with interpreter hash randomization;
-* builtin ``hash(...)``, which ``PYTHONHASHSEED`` perturbs.
+  whose order varies with interpreter hash randomization.
 
 A seed on a line carrying the matching shallow suppression
 (``# reprolint: disable=D001`` for a wall-clock read, ``C003`` for a
@@ -43,10 +44,10 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.deep.callgraph import CallGraph, CallSite, iter_own_nodes
-from repro.lint.deep.modindex import FunctionInfo, _dotted
-from repro.lint.determinism import GLOBAL_RANDOM_CALLS, WALL_CLOCK_CALLS
+from repro.lint.deep.modindex import FunctionInfo
+from repro.lint.determinism import nondeterminism_source
 from repro.lint.engine import is_suppressed
-from repro.lint.rules import path_in_scope
+from repro.lint.rules import dotted_name, path_in_scope
 
 #: The deterministic core: every function defined in these modules is a
 #: taint root the propagator traces forward from.
@@ -159,30 +160,6 @@ def _is_set_expr(node: ast.AST) -> bool:
     )
 
 
-def _call_seed(node: ast.Call) -> Optional[Tuple[str, str]]:
-    """(kind, detail) when a call expression is itself a seed."""
-    if isinstance(node.func, ast.Name) and node.func.id == "hash":
-        return ("builtin_hash", "hash")
-    dotted = _dotted(node.func)
-    if dotted is None:
-        return None
-    if dotted in WALL_CLOCK_CALLS:
-        return ("wall_clock", dotted)
-    if dotted.startswith("random.") and (
-        dotted.split(".", 1)[1] in GLOBAL_RANDOM_CALLS
-    ):
-        return ("unseeded_rng", dotted)
-    if dotted == "random.Random" and not (node.args or node.keywords):
-        return ("unseeded_rng", dotted)
-    if dotted.startswith(("numpy.random.", "np.random.")):
-        return ("unseeded_rng", dotted)
-    if dotted in ("os.getenv", "os.environb.get"):
-        return ("env_read", dotted)
-    if dotted in FS_ORDER_CALLS:
-        return ("fs_order", dotted)
-    return None
-
-
 def collect_seeds(function: FunctionInfo) -> List[Seed]:
     """Every nondeterminism source written directly in ``function``.
 
@@ -204,23 +181,21 @@ def collect_seeds(function: FunctionInfo) -> List[Seed]:
         )
 
     for node in own:
-        if isinstance(node, ast.Call):
-            found = _call_seed(node)
-            if found is not None:
-                kind, detail = found
-                if kind == "fs_order" and id(node) in sorted_wrapped:
-                    continue
-                add(kind, detail, node)
+        found = nondeterminism_source(node)
+        if found is not None:
+            add(*found, node)
+        elif isinstance(node, ast.Call):
+            if id(node) in sorted_wrapped:
+                continue
+            dotted = dotted_name(node.func)
+            if dotted in FS_ORDER_CALLS:
+                add("fs_order", dotted, node)
             elif (
-                isinstance(node.func, ast.Attribute)
+                dotted is None  # not glob.glob etc.
+                and isinstance(node.func, ast.Attribute)
                 and node.func.attr in FS_ORDER_METHODS
-                and _dotted(node.func) is None  # not glob.glob etc.
-                and id(node) not in sorted_wrapped
             ):
                 add("fs_order", f".{node.func.attr}", node)
-        elif isinstance(node, ast.Attribute) and node.attr == "environ":
-            if _dotted(node) == "os.environ":
-                add("env_read", "os.environ", node)
         elif isinstance(node, (ast.For, ast.AsyncFor)):
             if _is_set_expr(node.iter):
                 add("set_iteration", "for-over-set", node.iter)

@@ -14,7 +14,7 @@ seed derived from the spec) and the engine's round counter.
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import Iterator, Optional, Tuple
 
 from repro.lint.findings import Finding, RuleInfo
 from repro.lint.rules import (
@@ -22,6 +22,7 @@ from repro.lint.rules import (
     DETERMINISM_SCOPE,
     ModuleContext,
     Rule,
+    dotted_name,
     register_rule,
 )
 
@@ -80,10 +81,79 @@ GLOBAL_RANDOM_CALLS = frozenset(
 )
 
 
+#: numpy RNG constructors.  Like ``random.Random``, they are the blessed
+#: route when given a seed and a source only when called with no
+#: arguments (they then seed themselves from the OS).  Every other
+#: ``numpy.random.*`` call draws from numpy's global RNG.
+NUMPY_RNG_CONSTRUCTORS = frozenset(
+    {"default_rng", "Generator", "RandomState", "SeedSequence",
+     "BitGenerator", "MT19937", "PCG64", "PCG64DXSM", "Philox", "SFC64"}
+)
+
+
+def nondeterminism_source(node: ast.AST) -> Optional[Tuple[str, str]]:
+    """``(kind, detail)`` when ``node`` itself reads a nondeterminism source.
+
+    The one classifier both lint tiers share: the shallow D001-D003 and
+    C003 rules report what it finds inside their scopes, and the
+    whole-program taint pass seeds T001 from it.  Kinds are
+    ``wall_clock``, ``unseeded_rng``, ``env_read`` and ``builtin_hash``;
+    ``detail`` is the dotted call target (``os.environ`` for the
+    attribute read, ``hash`` for the builtin).
+    """
+    if isinstance(node, ast.Attribute):
+        if node.attr == "environ" and dotted_name(node) == "os.environ":
+            return ("env_read", "os.environ")
+        return None
+    if not isinstance(node, ast.Call):
+        return None
+    if isinstance(node.func, ast.Name) and node.func.id == "hash":
+        return ("builtin_hash", "hash")
+    dotted = dotted_name(node.func)
+    if dotted is None:
+        return None
+    if dotted in WALL_CLOCK_CALLS:
+        return ("wall_clock", dotted)
+    if dotted in ("os.getenv", "os.environb.get"):
+        return ("env_read", dotted)
+    unseeded = not (node.args or node.keywords)
+    module, _, name = dotted.rpartition(".")
+    if module == "random" and (
+        name in GLOBAL_RANDOM_CALLS or (name == "Random" and unseeded)
+    ):
+        return ("unseeded_rng", dotted)
+    if dotted.startswith(("numpy.random.", "np.random.")) and (
+        name not in NUMPY_RNG_CONSTRUCTORS or unseeded
+    ):
+        return ("unseeded_rng", dotted)
+    return None
+
+
+class SourceRule(Rule):
+    """A shallow rule reporting one :func:`nondeterminism_source` kind."""
+
+    kind = ""
+
+    def message(self, detail: str) -> str:
+        """The finding message for a source with this ``detail``."""
+        raise NotImplementedError
+
+    def check(self, context: ModuleContext) -> Iterator[Finding]:
+        for node in ast.walk(context.tree):
+            # Only calls and attribute reads can be sources; skipping the
+            # rest here saves a classifier call per node.
+            if not isinstance(node, (ast.Call, ast.Attribute)):
+                continue
+            found = nondeterminism_source(node)
+            if found is not None and found[0] == self.kind:
+                yield self.finding(context, node, self.message(found[1]))
+
+
 @register_rule
-class WallClockRead(Rule):
+class WallClockRead(SourceRule):
     """D001: no wall-clock or calendar reads in deterministic code."""
 
+    kind = "wall_clock"
     info = RuleInfo(
         code="D001",
         name="wall-clock-read",
@@ -101,26 +171,19 @@ class WallClockRead(Rule):
         example_good="elapsed = time.perf_counter() - t0  # duration only",
     )
 
-    def check(self, context: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = context.dotted_name(node.func)
-            if dotted in WALL_CLOCK_CALLS:
-                yield self.finding(
-                    context,
-                    node,
-                    f"wall-clock read `{dotted}()` in deterministic code; "
-                    "derive logical time from the engine's round counter "
-                    "(reprolint: disable=D001 if provably "
-                    "digest-irrelevant)",
-                )
+    def message(self, detail: str) -> str:
+        return (
+            f"wall-clock read `{detail}()` in deterministic code; "
+            "derive logical time from the engine's round counter "
+            "(reprolint: disable=D001 if provably digest-irrelevant)"
+        )
 
 
 @register_rule
-class UnseededRandomness(Rule):
+class UnseededRandomness(SourceRule):
     """D002: no global-RNG or unseeded randomness in deterministic code."""
 
+    kind = "unseeded_rng"
     info = RuleInfo(
         code="D002",
         name="unseeded-randomness",
@@ -139,45 +202,28 @@ class UnseededRandomness(Rule):
         example_good="port = random.Random(spec.seed).randint(1, degree)",
     )
 
-    def check(self, context: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = context.dotted_name(node.func)
-            if dotted is None:
-                continue
-            if dotted.startswith("random.") and (
-                dotted.split(".", 1)[1] in GLOBAL_RANDOM_CALLS
-            ):
-                yield self.finding(
-                    context,
-                    node,
-                    f"`{dotted}()` draws from the global RNG; use a "
-                    "random.Random(seed) instance derived from the spec "
-                    "seed",
-                )
-            elif dotted == "random.Random" and not (
-                node.args or node.keywords
-            ):
-                yield self.finding(
-                    context,
-                    node,
-                    "`random.Random()` without a seed self-seeds from "
-                    "the OS; pass a seed derived from the spec",
-                )
-            elif dotted.startswith(("numpy.random.", "np.random.")):
-                yield self.finding(
-                    context,
-                    node,
-                    f"`{dotted}()` uses numpy's global RNG; construct "
-                    "a numpy Generator from the spec seed instead",
-                )
+    def message(self, detail: str) -> str:
+        if detail == "random.Random":
+            return (
+                "`random.Random()` without a seed self-seeds from the OS; "
+                "pass a seed derived from the spec"
+            )
+        if detail.startswith("random."):
+            return (
+                f"`{detail}()` draws from the global RNG; use a "
+                "random.Random(seed) instance derived from the spec seed"
+            )
+        return (
+            f"`{detail}()` uses numpy's global RNG; construct a numpy "
+            "Generator from the spec seed instead"
+        )
 
 
 @register_rule
-class EnvironmentRead(Rule):
+class EnvironmentRead(SourceRule):
     """D003: no environment reads in deterministic code."""
 
+    kind = "env_read"
     info = RuleInfo(
         code="D003",
         name="environment-read",
@@ -196,23 +242,9 @@ class EnvironmentRead(Rule):
         example_good="jobs = spec_or_cli_argument  # explicit input",
     )
 
-    def check(self, context: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.Attribute) and node.attr == "environ":
-                dotted = context.dotted_name(node)
-                if dotted == "os.environ":
-                    yield self.finding(
-                        context,
-                        node,
-                        "`os.environ` read in deterministic code; pass "
-                        "configuration through the spec or CLI instead",
-                    )
-            elif isinstance(node, ast.Call):
-                dotted = context.dotted_name(node.func)
-                if dotted in ("os.getenv", "os.environb.get"):
-                    yield self.finding(
-                        context,
-                        node,
-                        f"`{dotted}()` read in deterministic code; pass "
-                        "configuration through the spec or CLI instead",
-                    )
+    def message(self, detail: str) -> str:
+        read = detail if detail == "os.environ" else f"{detail}()"
+        return (
+            f"`{read}` read in deterministic code; pass configuration "
+            "through the spec or CLI instead"
+        )

@@ -6,36 +6,22 @@ receives is a copy or documented read-only, and hook return values are
 ignored.  An observer that mutates a payload (or relies on returning
 something) breaks bit-reproducibility in the worst possible way --
 results change depending on which observers happened to be attached,
-which no digest accounts for.  These rules check ``on_*`` methods of
-observer classes everywhere in the tree, fixtures included.
+which no digest accounts for.
+
+H002 checks the ``on_*`` methods of observer classes everywhere in the
+tree, fixtures included.  Payload mutation is the whole-program E003's
+job (:mod:`repro.lint.deep.contracts`): it sees every write form,
+through local aliases and helpers too, so no syntactic copy of it lives
+here.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Set
+from typing import Iterator, Optional
 
 from repro.lint.findings import Finding, RuleInfo
 from repro.lint.rules import ModuleContext, Rule, register_rule
-
-#: Method names that mutate their receiver in the stdlib containers.
-MUTATING_METHODS = frozenset(
-    {
-        "append",
-        "extend",
-        "insert",
-        "add",
-        "update",
-        "clear",
-        "pop",
-        "popitem",
-        "remove",
-        "discard",
-        "setdefault",
-        "sort",
-        "reverse",
-    }
-)
 
 
 def _is_observer_class(node: ast.ClassDef) -> bool:
@@ -59,111 +45,10 @@ def _is_observer_class(node: ast.ClassDef) -> bool:
     return False
 
 
-def _root_name(node: ast.AST) -> Optional[str]:
-    """The base ``Name`` of an attribute/subscript chain, if any."""
-    current = node
-    while isinstance(current, (ast.Attribute, ast.Subscript)):
-        current = current.value
-    if isinstance(current, ast.Name):
-        return current.id
-    return None
-
-
 def _hook_methods(node: ast.ClassDef) -> Iterator[ast.FunctionDef]:
     for item in node.body:
         if isinstance(item, ast.FunctionDef) and item.name.startswith("on_"):
             yield item
-
-
-def _hook_params(method: ast.FunctionDef) -> Set[str]:
-    """The method's parameter names, minus the receiver."""
-    args = method.args
-    names = [a.arg for a in args.posonlyargs + args.args]
-    names.extend(a.arg for a in args.kwonlyargs)
-    if args.vararg is not None:
-        names.append(args.vararg.arg)
-    if args.kwarg is not None:
-        names.append(args.kwarg.arg)
-    return set(names[1:]) if names else set()
-
-
-@register_rule
-class ObserverMutatesPayload(Rule):
-    """H001: hooks must not mutate the payloads the engine hands them."""
-
-    info = RuleInfo(
-        code="H001",
-        name="observer-mutates-payload",
-        summary="observer hook mutates an engine-owned payload",
-        rationale=(
-            "Observers are instrumentation: the engine promises a run "
-            "executes identically with or without them.  Assigning "
-            "into, deleting from, or calling a mutating method on a "
-            "hook argument (a record, snapshot, observation or "
-            "position map) silently couples results to which observers "
-            "are attached.  Copy the payload into observer-owned state "
-            "(self.*) instead."
-        ),
-        example_bad=(
-            "def on_round_end(self, record):\n"
-            "    record.moved_robots = ()"
-        ),
-        example_good=(
-            "def on_round_end(self, record):\n"
-            "    self.moves.append(record.num_moves)"
-        ),
-    )
-
-    def check(self, context: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if not (isinstance(node, ast.ClassDef) and _is_observer_class(node)):
-                continue
-            for method in _hook_methods(node):
-                params = _hook_params(method)
-                if not params:
-                    continue
-                yield from self._check_method(context, method, params)
-
-    def _check_method(
-        self,
-        context: ModuleContext,
-        method: ast.FunctionDef,
-        params: Set[str],
-    ) -> Iterator[Finding]:
-        for node in ast.walk(method):
-            targets = []
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            elif isinstance(node, ast.Delete):
-                targets = list(node.targets)
-            for target in targets:
-                if isinstance(target, (ast.Attribute, ast.Subscript)):
-                    root = _root_name(target)
-                    if root in params:
-                        yield self.finding(
-                            context,
-                            node,
-                            f"hook `{method.name}` writes into its "
-                            f"`{root}` payload; observers must not "
-                            "mutate engine state",
-                        )
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in MUTATING_METHODS
-            ):
-                root = _root_name(node.func.value)
-                if root in params:
-                    yield self.finding(
-                        context,
-                        node,
-                        f"hook `{method.name}` calls mutating "
-                        f"`.{node.func.attr}()` on its `{root}` "
-                        "payload; observers must not mutate engine "
-                        "state",
-                    )
 
 
 @register_rule

@@ -109,8 +109,8 @@ WHOLE_PROGRAM_RULES = (
      "a backend phase mutates a payload parameter that is not a "
      "documented out-parameter"),
     ("E003", "hook-payload-mutation",
-     "an observer on_* hook transitively mutates its payload "
-     "(interprocedural H001)"),
+     "an observer on_* hook mutates its payload, directly, through a "
+     "local alias or through a helper"),
     ("E004", "phase-io", "a backend phase performs I/O"),
     ("M001", "mutation-after-submit",
      "an object captured by a submitted work unit is mutated after "

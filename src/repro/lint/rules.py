@@ -98,6 +98,24 @@ def path_in_scope(
     return _path_matches(path, scopes)
 
 
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """The dotted form of a ``Name``/``Attribute`` chain, if it is one.
+
+    ``time.time`` -> ``"time.time"``; ``datetime.datetime.now`` ->
+    ``"datetime.datetime.now"``; anything rooted in a call or subscript
+    returns ``None``.  Both lint tiers share this one definition.
+    """
+    parts: List[str] = []
+    current = node
+    while isinstance(current, ast.Attribute):
+        parts.append(current.attr)
+        current = current.value
+    if not isinstance(current, ast.Name):
+        return None
+    parts.append(current.id)
+    return ".".join(reversed(parts))
+
+
 @dataclass
 class ModuleContext:
     """Everything a rule may consult about the module under analysis."""
@@ -105,23 +123,6 @@ class ModuleContext:
     path: str
     tree: ast.Module
     source: str
-
-    def dotted_name(self, node: ast.AST) -> Optional[str]:
-        """The dotted form of a ``Name``/``Attribute`` chain, if it is one.
-
-        ``time.time`` -> ``"time.time"``; ``datetime.datetime.now`` ->
-        ``"datetime.datetime.now"``; anything rooted in a call or
-        subscript returns ``None``.
-        """
-        parts: List[str] = []
-        current = node
-        while isinstance(current, ast.Attribute):
-            parts.append(current.attr)
-            current = current.value
-        if not isinstance(current, ast.Name):
-            return None
-        parts.append(current.id)
-        return ".".join(reversed(parts))
 
 
 class Rule:

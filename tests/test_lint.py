@@ -157,6 +157,25 @@ class TestUnseededRandomnessRule:
         )
         assert codes(report) == ["D002"]
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "np.random.default_rng(7)",
+            "np.random.default_rng(seed=spec_seed)",
+            "np.random.Generator(np.random.PCG64(7))",
+            "numpy.random.RandomState(7)",
+            "np.random.SeedSequence(entropy=7)",
+        ],
+    )
+    def test_seeded_numpy_constructor_allowed(self, call):
+        # The fix D002's own message recommends must not trip D002.
+        report = check(f"import numpy\nimport numpy as np\nrng = {call}\n")
+        assert report.ok
+
+    def test_unseeded_numpy_constructor_flagged(self):
+        report = check("import numpy as np\nrng = np.random.default_rng()\n")
+        assert codes(report) == ["D002"]
+
 
 class TestEnvironmentReadRule:
     def test_environ_subscript_flagged(self):
@@ -330,28 +349,6 @@ class TestRegistryRules:
 
 
 class TestHookRules:
-    def test_payload_attribute_write_flagged(self):
-        report = check(
-            """\
-            class CountingObserver:
-                def on_round_end(self, record):
-                    record.num_moves = 0
-            """,
-            path="proj/anywhere.py",
-        )
-        assert codes(report) == ["H001"]
-
-    def test_payload_mutating_method_flagged(self):
-        report = check(
-            """\
-            class CountingObserver:
-                def on_round_end(self, record):
-                    record.moved.append(1)
-            """,
-            path="proj/anywhere.py",
-        )
-        assert codes(report) == ["H001"]
-
     def test_observer_owned_state_allowed(self):
         report = check(
             """\
@@ -626,7 +623,7 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("D001", "C001", "R001", "H001"):
+        for code in ("D001", "C001", "R001", "H002"):
             assert code in out
 
     def test_repro_cli_subcommand_wired(self, tmp_path, capsys):

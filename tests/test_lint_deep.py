@@ -32,6 +32,7 @@ from repro.lint.deep.concurrency import check_fork_safety
 from repro.lint.deep.modindex import build_index
 from repro.lint.deep.taint import collect_seeds, trace_taint_paths
 from repro.lint.cli import main as lint_main
+from repro.lint.engine import lint_source
 from tests.test_lint_effects import BAD_BACKEND
 from tests.test_lint_robotmodel import HIDDEN_STATE
 
@@ -526,6 +527,122 @@ class TestTaint:
         assert result.report.ok
         assert result.fingerprints == set()
         assert result.report.suppressed == 1
+
+
+#: One snippet per nondeterminism source form, returned from line 6 of a
+#: digest-path module: (expression, shallow code, shallow message, seed
+#: kind).  Both tiers classify every form through one function, so each
+#: row pins the shallow finding and the taint seed together.
+SOURCE_FORMS = [
+    (
+        "time.time()",
+        "D001",
+        "wall-clock read `time.time()` in deterministic code; derive "
+        "logical time from the engine's round counter (reprolint: "
+        "disable=D001 if provably digest-irrelevant)",
+        "wall_clock",
+    ),
+    (
+        "datetime.datetime.now()",
+        "D001",
+        "wall-clock read `datetime.datetime.now()` in deterministic "
+        "code; derive logical time from the engine's round counter "
+        "(reprolint: disable=D001 if provably digest-irrelevant)",
+        "wall_clock",
+    ),
+    (
+        "random.shuffle(x)",
+        "D002",
+        "`random.shuffle()` draws from the global RNG; use a "
+        "random.Random(seed) instance derived from the spec seed",
+        "unseeded_rng",
+    ),
+    (
+        "random.Random()",
+        "D002",
+        "`random.Random()` without a seed self-seeds from the OS; pass a "
+        "seed derived from the spec",
+        "unseeded_rng",
+    ),
+    (
+        "np.random.rand(3)",
+        "D002",
+        "`np.random.rand()` uses numpy's global RNG; construct a numpy "
+        "Generator from the spec seed instead",
+        "unseeded_rng",
+    ),
+    (
+        "os.environ['HOME']",
+        "D003",
+        "`os.environ` read in deterministic code; pass configuration "
+        "through the spec or CLI instead",
+        "env_read",
+    ),
+    (
+        "os.getenv('HOME')",
+        "D003",
+        "`os.getenv()` read in deterministic code; pass configuration "
+        "through the spec or CLI instead",
+        "env_read",
+    ),
+    (
+        "os.environb.get(b'HOME')",
+        "D003",
+        "`os.environb.get()` read in deterministic code; pass "
+        "configuration through the spec or CLI instead",
+        "env_read",
+    ),
+    (
+        "hash(x)",
+        "C003",
+        "builtin hash() is salted per process; use hashlib.sha256 over "
+        "canonical bytes",
+        "builtin_hash",
+    ),
+]
+
+
+class TestSourceClassifier:
+    @pytest.mark.parametrize(
+        "expression, code, message, kind",
+        SOURCE_FORMS,
+        ids=[row[0] for row in SOURCE_FORMS],
+    )
+    def test_shallow_finding_and_seed_agree(
+        self, tmp_path, expression, code, message, kind
+    ):
+        source = (
+            "import datetime, os, random, time\n"
+            "import numpy as np\n"
+            "\n"
+            "\n"
+            "def f(x):\n"
+            f"    return {expression}\n"
+        )
+        report = lint_source(source, "pkg/sim/store.py")
+        assert [
+            (f.code, f.line, f.column, f.message) for f in report.findings
+        ] == [(code, 6, 12, message)]
+        index = build(tmp_path, {"pkg/sim/store.py": source})
+        seeds = collect_seeds(index.functions["pkg.sim.store.f"])
+        assert [(s.kind, s.lineno, s.col) for s in seeds] == [(kind, 6, 12)]
+
+    def test_seeded_numpy_constructor_is_not_a_seed(self, tmp_path):
+        index = build(
+            tmp_path,
+            {
+                "pkg/rng.py": """
+                    import numpy as np
+
+                    def make(seed):
+                        return np.random.default_rng(seed), np.random.default_rng()
+                    """,
+            },
+        )
+        seeds = collect_seeds(index.functions["pkg.rng.make"])
+        assert [(s.kind, s.detail, s.col) for s in seeds] == [
+            ("unseeded_rng", "np.random.default_rng", 41)
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -5,10 +5,10 @@ taint-path suite and indexed with the same ``build_index`` the CLI
 uses.  The suite pins the effect-summary semantics (aliases, augmented
 subscripts, comprehensions, lambdas, ``functools.partial``, numpy
 in-place operations, registry dispatch), every E/M/S contract rule with
-its fingerprint and call-chain message, the H001 alias blind spot the
-new tier closes, the CLI exit-code contract, and
-the guard that the repository self-check really sees the reference
-backend's phase mutations.
+its fingerprint and call-chain message, every payload write form an
+observer hook can take (E003 is the only hook-mutation detector), the
+CLI exit-code contract, and the guard that the repository self-check
+really sees the reference backend's phase mutations.
 """
 
 import textwrap
@@ -21,7 +21,6 @@ from repro.lint.deep.callgraph import build_call_graph
 from repro.lint.deep.contracts import check_contracts
 from repro.lint.deep.effects import infer_effects, witness_chain
 from repro.lint.deep.modindex import build_index
-from repro.lint.engine import lint_paths
 
 def build(root, files):
     """Write a fixture tree and index it (``__init__.py`` chain included)."""
@@ -506,12 +505,81 @@ class TestHookContracts:
             """,
     }
 
-    def test_shallow_h001_misses_the_alias(self, tmp_path):
-        # Pinned blind spot: the syntactic H001 only sees stores whose
-        # root *name* is a hook parameter, so the alias escapes it.
-        build(tmp_path, self.ALIAS_HOOK)
-        report = lint_paths([tmp_path / "pkg" / "obs.py"], select=["H"])
-        assert report.ok
+    #: Every payload write form an observer hook can take, as
+    #: (class header, hook parameters, hook body, mutated parameter,
+    #: line of the write).
+    WRITE_FORMS = {
+        "attribute-store": (
+            "class TraceObserver:", "self, payload",
+            "payload.num_moves = 0", "payload", 3,
+        ),
+        "subscript-store": (
+            "class TraceObserver:", "self, payload",
+            "payload[0] = 1", "payload", 3,
+        ),
+        "delete": (
+            "class TraceObserver:", "self, payload",
+            "del payload.robots", "payload", 3,
+        ),
+        "augmented-assignment": (
+            "class TraceObserver:", "self, payload",
+            "payload.count += 1", "payload", 3,
+        ),
+        "annotated-assignment": (
+            "class TraceObserver:", "self, payload",
+            "payload.count: int = 0", "payload", 3,
+        ),
+        "mutating-method": (
+            "class TraceObserver:", "self, payload",
+            "payload.robots.append(1)", "payload", 3,
+        ),
+        "keyword-only-parameter": (
+            "class TraceObserver:", "self, *, payload",
+            "payload.count = 0", "payload", 3,
+        ),
+        "varargs-parameter": (
+            "class TraceObserver:", "self, *payloads",
+            "payloads[0].count = 0", "payloads", 3,
+        ),
+        "nested-def": (
+            "class TraceObserver:", "self, payload",
+            "def reset():\n            payload.count = 0\n        reset()",
+            "payload", 4,
+        ),
+        "observer-base-class": (
+            "class Tracer(RoundObserver):", "self, payload",
+            "payload.count = 0", "payload", 3,
+        ),
+    }
+
+    @pytest.mark.parametrize("form", sorted(WRITE_FORMS))
+    def test_e003_flags_every_payload_write_form(self, tmp_path, form):
+        header, params, body, param, line = self.WRITE_FORMS[form]
+        source = (
+            f"{header}\n"
+            f"    def on_round_end({params}):\n"
+            f"        {body}\n"
+        )
+        findings = contract_findings(tmp_path, {"pkg/obs.py": source})
+        owner = header[len("class "):].split("(")[0].rstrip(":")
+        assert [fp for _, fp in findings] == [
+            f"E003|pkg.obs.{owner}.on_round_end|{param}"
+        ]
+        assert findings[0][0].line == line
+
+    def test_observer_owned_state_is_clean(self, tmp_path):
+        findings = contract_findings(
+            tmp_path,
+            {
+                "pkg/obs.py": """
+                    class CountingObserver:
+                        def on_round_end(self, payload):
+                            self.last = payload
+                            self.moves.append(payload.num_moves)
+                    """,
+            },
+        )
+        assert findings == []
 
     def test_e003_catches_the_alias(self, tmp_path):
         findings = contract_findings(tmp_path, self.ALIAS_HOOK)
