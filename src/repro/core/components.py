@@ -19,6 +19,7 @@ the packet set.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
@@ -208,8 +209,21 @@ def build_component(
     ``processing_trace``, if supplied, receives the representative IDs in
     the exact order the loop processed them (used by the pseudocode
     faithfulness tests; the resulting component is order-independent).
+
+    O(P + E + V log V) for P packets and a component of V nodes and E
+    occupied edges: the packets are indexed once, and a heap yields the
+    smallest to-be-processed ID.
     """
-    index = _packet_index(packets)
+    return _build_from_index(
+        _packet_index(packets), own_representative, processing_trace
+    )
+
+
+def _build_from_index(
+    index: Mapping[int, InfoPacket],
+    own_representative: int,
+    processing_trace: Optional[List[int]],
+) -> ComponentGraph:
     if own_representative not in index:
         raise ComponentConstructionError(
             f"no packet from representative {own_representative}"
@@ -217,13 +231,13 @@ def build_component(
 
     nodes: Dict[int, ComponentNodeInfo] = {}
     adjacency: Dict[int, Dict[int, int]] = {}
-    to_process: Set[int] = {own_representative}
-    processed: Set[int] = set()
+    # Every representative ever queued: each is pushed once, so the heap
+    # pops exactly the order of repeatedly taking min(to_process).
+    seen: Set[int] = {own_representative}
+    to_process: List[int] = [own_representative]
 
     while to_process:
-        rep = min(to_process)  # paper: smallest-ID node first
-        to_process.discard(rep)
-        processed.add(rep)
+        rep = heapq.heappop(to_process)  # paper: smallest-ID node first
         if processing_trace is not None:
             processing_trace.append(rep)
         packet = index.get(rep)
@@ -235,12 +249,11 @@ def build_component(
         nodes[rep] = _node_info(packet)
         ports: Dict[int, int] = {}
         for info in packet.occupied_neighbors:
-            ports[info.port] = info.representative_id
-            if (
-                info.representative_id not in processed
-                and info.representative_id not in to_process
-            ):
-                to_process.add(info.representative_id)
+            neighbor = info.representative_id
+            ports[info.port] = neighbor
+            if neighbor not in seen:
+                seen.add(neighbor)
+                heapq.heappush(to_process, neighbor)
         adjacency[rep] = ports
 
     _check_symmetry(nodes, adjacency)
@@ -251,13 +264,18 @@ def _check_symmetry(
     nodes: Mapping[int, ComponentNodeInfo],
     adjacency: Mapping[int, Mapping[int, int]],
 ) -> None:
+    """Every edge stays inside the component and has a reverse direction.
+
+    O(E): one neighbor set per node, then one membership test per edge.
+    """
+    neighbor_sets = {u: set(ports.values()) for u, ports in adjacency.items()}
     for u, ports in adjacency.items():
-        for port, v in ports.items():
+        for v in ports.values():
             if v not in nodes:
                 raise ComponentConstructionError(
                     f"edge {u}->{v} leaves the component"
                 )
-            if u not in adjacency[v].values():
+            if u not in neighbor_sets[v]:
                 raise ComponentConstructionError(
                     f"edge {u}->{v} has no reverse direction; packets are "
                     "inconsistent"
@@ -272,19 +290,24 @@ def partition_into_components(
     Runs Algorithm 1 from each not-yet-covered representative (smallest
     first), which is exactly how the full component graph decomposes.
     Returned sorted by smallest representative.
+
+    O(P log P + E) for P packets and E occupied edges: the packets are
+    indexed and sorted once for all components.
     """
     index = _packet_index(packets)
-    remaining = set(index)
+    covered: Set[int] = set()
     components: List[ComponentGraph] = []
-    while remaining:
-        seed = min(remaining)
-        component = build_component(index.values(), seed)
-        members = set(component.representatives)
-        if not members <= remaining:
+    for seed in sorted(index):
+        if seed in covered:
+            continue
+        component = _build_from_index(index, seed, None)
+        members = component.representatives
+        if not covered.isdisjoint(members):
             raise ComponentConstructionError(
                 "components overlap; packets are inconsistent"
             )
-        remaining -= members
+        covered.update(members)
         components.append(component)
-    components.sort(key=lambda c: c.representatives[0])
+    # Each seed is the smallest uncovered ID and lies in its own
+    # component, so seeds -- and the list -- ascend by smallest member.
     return components

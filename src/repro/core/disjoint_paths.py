@@ -80,7 +80,7 @@ def leaf_node_set(
 
     Sorted ascending by representative ID (the paper's processing order).
     Note "leaf" refers to having an empty graph neighbor, not to being a
-    leaf of the tree.
+    leaf of the tree.  O(size log size) for the sort.
     """
     return sorted(
         rep for rep in tree.nodes if component.node(rep).has_empty_neighbor
@@ -93,23 +93,47 @@ def compute_disjoint_paths(
     """Algorithm 3: greedily select disjoint root paths.
 
     Candidates are processed in increasing leaf-ID order; a candidate is
-    kept iff its non-root nodes and its edges avoid everything already
-    kept.  The result is therefore already ordered by increasing leaf ID,
-    which is the order Algorithm 4's truncation step needs.
+    kept iff its non-root nodes avoid every node already kept.  The result
+    is therefore already ordered by increasing leaf ID, which is the order
+    Algorithm 4's truncation step needs.
+
+    Edge-disjointness needs no separate check: every edge of a root path
+    ends at one of the path's non-root nodes (its child side), so two
+    paths sharing an edge share a non-root node, which the node check
+    already rejects.
+
+    Each candidate walks up ``tree.parent`` and stops at the root (the
+    path is kept: its non-root nodes become ``used``) or at a node that
+    is ``used`` or ``blocked`` (the path is rejected: the nodes it passed
+    become ``blocked``, since their own root paths run through the same
+    used node).  Both sets only grow and a walk never enters either, so
+    every tree node is walked over at most once: O(size log size) for the
+    candidate sort plus O(size) for the walks, instead of one full
+    root-path walk per candidate.
     """
-    used_nodes: Set[int] = set()
-    used_edges: Set[Tuple[int, int]] = set()
+    parent = tree.parent
+    root = tree.root
+    used: Set[int] = set()
+    blocked: Set[int] = set()
     selected: List[RootPath] = []
 
     for leaf in leaf_node_set(tree, component):
-        path = RootPath(tuple(tree.root_path(leaf)))
-        if any(node in used_nodes for node in path.interior_and_leaf):
-            continue
-        if any(edge in used_edges for edge in path.edges()):
-            continue
-        used_nodes.update(path.interior_and_leaf)
-        used_edges.update(path.edges())
-        selected.append(path)
+        chain: List[int] = []
+        node = leaf
+        while node != root:
+            if node in used or node in blocked:
+                blocked.update(chain)
+                break
+            chain.append(node)
+            up = parent[node]
+            if up is None:
+                raise AssertionError("root path did not reach the root")
+            node = up
+        else:
+            used.update(chain)
+            chain.append(root)
+            chain.reverse()
+            selected.append(RootPath(tuple(chain)))
 
     return selected
 

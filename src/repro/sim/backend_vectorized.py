@@ -345,13 +345,17 @@ class _RoundArrays:
             parent_port[node] = port
             push_neighbors(node)
 
-        # Disjoint root paths (Algorithm 3), truncated to count-1 (Alg 4).
-        # Candidates in increasing leaf representative-ID order; a path is
-        # kept iff its non-root nodes are unused.  Edge-disjointness needs
-        # no separate check: a shared tree edge has a shared non-root
-        # endpoint (its child side), which the node check already rejects.
-        # Selection is a deterministic prefix, so stopping at the
-        # truncation cap is identical to truncating afterwards.
+        # Disjoint root paths (Algorithm 3), truncated to count-1 (Alg 4),
+        # by the same walk as ``repro.core.compute_disjoint_paths``:
+        # candidates in increasing leaf representative-ID order; a walk up
+        # the tree stops at the root (kept: its non-root nodes become
+        # used) or at a used or blocked node (rejected: the nodes it passed
+        # become blocked), so each tree node is walked over at most once.
+        # Edge-disjointness needs no separate check: a shared tree edge has
+        # a shared non-root endpoint (its child side), which the node check
+        # already rejects.  Selection is a deterministic prefix, so
+        # stopping at the truncation cap is identical to truncating
+        # afterwards.
         max_paths = counts[root] - 1
         degree = self.degree
         leaf_order = sorted(
@@ -363,6 +367,7 @@ class _RoundArrays:
             key=rep.__getitem__,
         )
         used: set = set()
+        blocked: set = set()
         paths: List[List[int]] = []
         for leaf in leaf_order:
             if len(paths) >= max_paths:
@@ -373,7 +378,8 @@ class _RoundArrays:
             chain: List[int] = []
             node = leaf
             while node != root:
-                if node in used:
+                if node in used or node in blocked:
+                    blocked.update(chain)
                     break
                 chain.append(node)
                 node = parent[node]

@@ -295,6 +295,19 @@ class TestGeneratedSpecs:
         assert run_fingerprint(reference) == run_fingerprint(vectorized), (
             spec.to_json()
         )
+        if (
+            spec.algorithm.name == "dispersion_dynamic"
+            and spec.scheduler is None
+            and spec.crash is None
+            and not spec.byzantine
+        ):
+            # Theorem 4: fault-free FSYNC Algorithm 4 disperses within
+            # k - initial_occupied rounds on any connected dynamic graph.
+            assert reference.dispersed, spec.to_json()
+            assert (
+                reference.rounds
+                <= spec.placement.k - reference.initial_occupied
+            ), spec.to_json()
 
 
 # ----------------------------------------------------------------------
