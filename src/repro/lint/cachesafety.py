@@ -62,7 +62,7 @@ class NonCanonicalJson(Rule):
     )
 
     def check(self, context: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if not isinstance(node, ast.Call):
                 continue
             dotted = dotted_name(node.func)
@@ -108,7 +108,7 @@ class FloatFormattingDrift(Rule):
     )
 
     def check(self, context: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if isinstance(node, ast.FormattedValue):
                 spec = node.format_spec
                 if spec is None:

@@ -114,7 +114,7 @@ def _run_all(args: argparse.Namespace) -> int:
 
     try:
         # One load serves both tiers: each file is read, parsed and
-        # tokenized once per run.
+        # walked once per run.
         modules = load_modules(args.paths or SHALLOW_DEFAULT_PATHS)
         shallow = lint_paths(modules)
         result = run_whole_program_analysis(

@@ -5,7 +5,7 @@ built once per run and shared by every checker above them):
 
 * :mod:`~repro.lint.deep.modindex` -- index the modules the shared
   loader (:func:`repro.lint.engine.load_modules`) read, parsed and
-  tokenized once: definitions, imports, aliases and registry dicts;
+  walked once: definitions, imports, aliases and registry dicts;
 * :mod:`~repro.lint.deep.callgraph` -- resolve calls (including
   ``self.`` dispatch, re-exports and registry factories) into a
   whole-program call graph;

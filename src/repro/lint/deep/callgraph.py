@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.lint.deep.modindex import (
     ClassInfo,
@@ -60,6 +60,7 @@ from repro.lint.deep.modindex import (
     ModuleInfo,
     ProjectIndex,
     _resolve_relative,
+    nested_qualname,
 )
 from repro.lint.rules import dotted_name
 
@@ -127,26 +128,6 @@ class CallGraph:
     def edge_count(self) -> int:
         """Total number of resolved call edges."""
         return sum(len(targets) for targets in self.edges.values())
-
-
-def iter_own_nodes(root: ast.AST) -> Iterator[ast.AST]:
-    """Walk a callable's body without descending into nested callables.
-
-    Nested ``def``/``lambda`` nodes are yielded (so the caller can index
-    them as their own graph nodes) but their bodies are not traversed.
-    """
-    if isinstance(root, ast.Lambda):
-        stack: List[ast.AST] = [root.body]
-    else:
-        stack = list(getattr(root, "body", []))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
 
 
 class _Resolver:
@@ -327,7 +308,7 @@ def _registrar_registries(
     """
     found: Set[str] = set()
     module = function.module
-    for node in iter_own_nodes(function.node):
+    for node in function.own_nodes:
         if not isinstance(node, (ast.Assign, ast.AugAssign)):
             continue
         targets = (
@@ -474,7 +455,7 @@ class _GraphBuilder:
             if own_class is None:
                 continue
             scope = _Scope()
-            nodes = list(iter_own_nodes(function.node))
+            nodes = function.own_nodes
             for node in nodes:
                 _collect_local_imports(function.module, node, scope.imports)
             for node in nodes:
@@ -664,7 +645,7 @@ class _GraphBuilder:
             if function.class_name is not None
             else None
         )
-        nodes = list(iter_own_nodes(function.node))
+        nodes = function.own_nodes
         # Imports and nested defs first, so the later call pass resolves
         # local names regardless of traversal order.
         for node in nodes:
@@ -703,11 +684,7 @@ class _GraphBuilder:
         node: ast.AST,
         scope: Optional["_Scope"] = None,
     ) -> FunctionInfo:
-        if isinstance(node, ast.Lambda):
-            local = f"<lambda@{node.lineno}>"
-        else:
-            local = getattr(node, "name", "<def>")
-        qualname = f"{parent.qualname}.{local}"
+        qualname = nested_qualname(parent.qualname, node)
         nested = FunctionInfo(
             qualname=qualname,
             module=parent.module,
@@ -944,7 +921,7 @@ class _GraphBuilder:
     ) -> List[Tuple[str, CallSite]]:
         module = function.module
         found: Dict[str, CallSite] = {}
-        for node in iter_own_nodes(function.node):
+        for node in function.own_nodes:
             registry: Optional[str] = None
             if (
                 isinstance(node, ast.Name)

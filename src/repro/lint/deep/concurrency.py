@@ -29,7 +29,7 @@ from typing import Iterator, List, Set, Tuple
 from repro.lint.deep.effects import MUTATING_METHODS
 from repro.lint.deep.modindex import ModuleInfo, ProjectIndex
 from repro.lint.findings import Finding
-from repro.lint.rules import dotted_name, path_in_scope
+from repro.lint.rules import dotted_name, iter_own_nodes, path_in_scope
 
 #: The fork-boundary modules the F-rules apply to.
 FORK_SCOPE: Tuple[str, ...] = ("sim/runner.py", "chaos/runner.py")
@@ -65,22 +65,9 @@ def _module_level_mutables(module: ModuleInfo) -> Set[str]:
 
 
 def _iter_function_nodes(module: ModuleInfo) -> Iterator[ast.AST]:
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
-
-
-def _walk_module_scope(module: ModuleInfo) -> Iterator[ast.AST]:
-    """Walk code executed at import time (function bodies excluded)."""
-    stack: List[ast.AST] = list(module.tree.body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-        ):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
 
 
 def _check_global_writes(
@@ -141,7 +128,8 @@ def _check_global_writes(
 def _check_import_time_handles(
     module: ModuleInfo,
 ) -> Iterator[Tuple[Finding, str]]:
-    for node in _walk_module_scope(module):
+    # The code run at import time: function bodies excluded.
+    for node in iter_own_nodes(module.tree):
         if not isinstance(node, ast.Call):
             continue
         dotted = dotted_name(node.func)
@@ -176,7 +164,7 @@ def _lockish(expr: ast.AST) -> str:
 def _check_locked_renames(
     module: ModuleInfo,
 ) -> Iterator[Tuple[Finding, str]]:
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if not isinstance(node, (ast.With, ast.AsyncWith)):
             continue
         lock = ""

@@ -52,7 +52,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.lint.deep.callgraph import CallGraph, _Resolver, iter_own_nodes
+from repro.lint.deep.callgraph import CallGraph, _Resolver
 from repro.lint.deep.concurrency import FORK_SCOPE
 from repro.lint.deep.effects import (
     MUTATOR_METHODS,
@@ -373,7 +373,7 @@ def _check_capture_mutation(
         ):
             continue
         nodes = sorted(
-            iter_own_nodes(function.node),
+            function.own_nodes,
             key=lambda n: (
                 getattr(n, "lineno", 0),
                 getattr(n, "col_offset", 0),

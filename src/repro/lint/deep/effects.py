@@ -45,8 +45,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from repro.lint.deep.callgraph import CallGraph, iter_own_nodes
-from repro.lint.deep.modindex import FunctionInfo, ModuleInfo
+from repro.lint.deep.callgraph import CallGraph
+from repro.lint.deep.modindex import FunctionInfo, ModuleInfo, nested_qualname
 from repro.lint.rules import dotted_name
 
 #: Longest attribute path a mutation effect tracks; deeper stores are
@@ -218,10 +218,10 @@ def _module_level_names(module: ModuleInfo) -> FrozenSet[str]:
     return frozenset(names)
 
 
-def _ordered_nodes(root: ast.AST) -> List[ast.AST]:
+def _ordered_nodes(function: FunctionInfo) -> List[ast.AST]:
     """A callable's own nodes in source order (aliases are flow-read)."""
     return sorted(
-        iter_own_nodes(root),
+        function.own_nodes,
         key=lambda n: (getattr(n, "lineno", 0), getattr(n, "col_offset", 0)),
     )
 
@@ -230,31 +230,52 @@ class _DirectPass:
     """One callable's syntactic effects, closures folded in."""
 
     def __init__(
-        self, function: FunctionInfo, effects: FunctionEffects
+        self,
+        function: FunctionInfo,
+        effects: FunctionEffects,
+        functions: Dict[str, FunctionInfo],
     ) -> None:
         self.function = function
         self.effects = effects
+        #: the index's callables, where each closure's own nodes live
+        self.functions = functions
 
     def run(self) -> None:
-        node = self.function.node
         params = {
             name: index
             for index, name in enumerate(self.effects.params)
         }
-        self._walk(node, params, self.effects.aliases, set())
+        self._walk(self.function, params, self.effects.aliases, set())
 
     # -- scope walk ----------------------------------------------------
 
+    def _closure(self, parent: FunctionInfo, node: ast.AST) -> FunctionInfo:
+        """The indexed callable of a def/lambda nested in ``parent``.
+
+        A closure whose name the call graph gave to an earlier sibling
+        is not indexed; it gets a throwaway entry of its own.
+        """
+        qualname = nested_qualname(parent.qualname, node)
+        indexed = self.functions.get(qualname)
+        if indexed is not None and indexed.node is node:
+            return indexed
+        return FunctionInfo(
+            qualname=qualname,
+            module=parent.module,
+            node=node,
+            lineno=getattr(node, "lineno", parent.lineno),
+        )
+
     def _walk(
         self,
-        root: ast.AST,
+        function: FunctionInfo,
         params: Dict[str, int],
         aliases: Dict[str, Tuple[int, Tuple[str, ...]]],
         declared_globals: Set[str],
     ) -> None:
         params = dict(params)
         declared_globals = set(declared_globals)
-        nodes = _ordered_nodes(root)
+        nodes = _ordered_nodes(function)
         nested: List[ast.AST] = []
         for node in nodes:
             if isinstance(node, ast.Global):
@@ -282,7 +303,12 @@ class _DirectPass:
                 for name, origin in aliases.items()
                 if name not in shadowed
             }
-            self._walk(child, inner_params, inner_aliases, declared_globals)
+            self._walk(
+                self._closure(function, child),
+                inner_params,
+                inner_aliases,
+                declared_globals,
+            )
 
     # -- per-node dispatch ---------------------------------------------
 
@@ -544,7 +570,7 @@ def infer_effects(graph: CallGraph) -> Dict[str, FunctionEffects]:
             params=_param_names(function.node),
             module_globals=module_globals[module.name],
         )
-        _DirectPass(function, effects).run()
+        _DirectPass(function, effects, graph.index.functions).run()
         summaries[function.qualname] = effects
     _propagate(graph, summaries)
     return summaries

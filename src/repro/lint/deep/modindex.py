@@ -7,8 +7,8 @@ and what it re-exports -- that is the raw material the call-graph
 builder resolves names against.
 
 :func:`build_index` indexes every module the shared lint loader
-(:func:`repro.lint.engine.load_modules`) read, parsed and tokenized
-once, and returns a :class:`ProjectIndex`:
+(:func:`repro.lint.engine.load_modules`) read, parsed and walked once,
+and returns a :class:`ProjectIndex`:
 
 * each module's dotted name is derived from the filesystem (walking up
   through ``__init__.py`` packages), so scanning ``src`` and scanning
@@ -36,11 +36,12 @@ from __future__ import annotations
 import ast
 import pathlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.lint.engine import Target, load_modules
 from repro.lint.findings import Finding
-from repro.lint.rules import dotted_name
+from repro.lint.rules import dotted_name, iter_own_nodes
 
 
 @dataclass
@@ -57,6 +58,16 @@ class FunctionInfo:
     def display(self) -> str:
         """The qualified name shown in taint-path chains."""
         return self.qualname
+
+    @cached_property
+    def own_nodes(self) -> Tuple[ast.AST, ...]:
+        """The callable's own nodes, in :func:`iter_own_nodes` order.
+
+        Walked on first use and kept for the run: the call graph,
+        effects, taint, contract and robot-model passes all read this
+        one tuple instead of re-walking the body.
+        """
+        return tuple(iter_own_nodes(self.node))
 
 
 @dataclass
@@ -78,6 +89,8 @@ class ModuleInfo:
     path: pathlib.Path
     display_path: str
     tree: ast.Module
+    #: ``ast.walk(tree)`` in its breadth-first order, from the loader
+    nodes: Tuple[ast.AST, ...] = field(repr=False)
     #: line -> codes its ``# reprolint: disable`` comment silences
     suppressions: Dict[int, FrozenSet[str]]
     #: local alias -> absolute dotted target (module or module.symbol)
@@ -205,6 +218,15 @@ def _index_module_body(info: ModuleInfo, index: ProjectIndex) -> None:
                     info.aliases[target.id] = dotted
 
 
+def nested_qualname(parent: str, node: ast.AST) -> str:
+    """The index name of a ``def`` or ``lambda`` nested in ``parent``."""
+    if isinstance(node, ast.Lambda):
+        local = f"<lambda@{node.lineno}>"
+    else:
+        local = getattr(node, "name", "<def>")
+    return f"{parent}.{local}"
+
+
 def _add_function(
     info: ModuleInfo,
     index: ProjectIndex,
@@ -252,8 +274,9 @@ def build_index(paths: Iterable[Target]) -> ProjectIndex:
     """Index every module under ``paths`` (files, directories or modules
     already loaded by :func:`~repro.lint.engine.load_modules`).
 
-    Each file is read, parsed and tokenized by the shared loader; the
-    index adds only definitions and names, never a second parse.
+    Each file is read, parsed and walked by the shared loader; the
+    index adds only definitions and names, never a second parse or a
+    second walk of the module.
     """
     index = ProjectIndex()
     for module in load_modules(paths):
@@ -271,6 +294,7 @@ def build_index(paths: Iterable[Target]) -> ProjectIndex:
             path=file_path,
             display_path=module.path,
             tree=module.tree,
+            nodes=module.nodes,
             suppressions=module.suppressions,
         )
         index.modules[name] = info

@@ -48,11 +48,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.lint.deep.callgraph import (
-    CallGraph,
-    _Resolver,
-    iter_own_nodes,
-)
+from repro.lint.deep.callgraph import CallGraph, _Resolver
 from repro.lint.deep.contracts import (
     _base_chain_names,
     _finding_site,
@@ -460,7 +456,7 @@ def _global_field_reads(
             continue
         obs_names = {effects.params[param_index]}
         nodes = sorted(
-            iter_own_nodes(function.node),
+            function.own_nodes,
             key=lambda n: (
                 getattr(n, "lineno", 0),
                 getattr(n, "col_offset", 0),

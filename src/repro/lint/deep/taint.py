@@ -43,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.lint.deep.callgraph import CallGraph, CallSite, iter_own_nodes
+from repro.lint.deep.callgraph import CallGraph, CallSite
 from repro.lint.deep.modindex import FunctionInfo
 from repro.lint.determinism import nondeterminism_source
 from repro.lint.engine import is_suppressed
@@ -166,7 +166,7 @@ def collect_seeds(function: FunctionInfo) -> List[Seed]:
     Nested defs and lambdas are excluded -- they are their own
     call-graph nodes and collect their own seeds.
     """
-    own = list(iter_own_nodes(function.node))
+    own = function.own_nodes
     sorted_wrapped = _sorted_wrapped(own)
     seeds: List[Seed] = []
 

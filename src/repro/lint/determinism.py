@@ -139,7 +139,7 @@ class SourceRule(Rule):
         raise NotImplementedError
 
     def check(self, context: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             # Only calls and attribute reads can be sources; skipping the
             # rest here saves a classifier call per node.
             if not isinstance(node, (ast.Call, ast.Attribute)):

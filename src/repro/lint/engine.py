@@ -2,10 +2,11 @@
 
 :func:`load_modules` is the one front end of every lint tier: it
 discovers ``*.py`` files under the given paths and reads, parses and
-tokenizes each exactly once into a :class:`LoadedModule` (source, AST,
-suppression table, or the ``P001`` finding of a file that does not
-parse).  :func:`lint_paths` runs every selected shallow rule whose scope
-matches over those modules, honors inline suppressions, and returns a
+walks each exactly once (and tokenizes it at most once) into a
+:class:`LoadedModule` (source, AST, node tuple, suppression table, or
+the ``P001`` finding of a file that does not parse).  :func:`lint_paths`
+runs every selected shallow rule whose scope matches over those
+modules, honors inline suppressions, and returns a
 :class:`LintReport` whose findings are sorted by location -- the same
 report object both reporters and the CLI exit code are computed from.
 The whole-program pass (:func:`repro.lint.deep.build_index`) indexes the
@@ -29,7 +30,7 @@ import pathlib
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.lint.findings import Finding
 from repro.lint.rules import (
@@ -76,9 +77,13 @@ def _suppressions(source: str) -> Dict[int, FrozenSet[str]]:
     """Map line number -> codes suppressed on that line.
 
     Parsed from the token stream, so suppression markers inside string
-    literals do not count.
+    literals do not count.  A source without the ``reprolint`` literal
+    that every marker contains cannot suppress anything and is not
+    tokenized.
     """
     table: Dict[int, FrozenSet[str]] = {}
+    if "reprolint" not in source:
+        return table
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
         for token in tokens:
@@ -117,11 +122,13 @@ def is_suppressed(
 
 @dataclass(frozen=True)
 class LoadedModule:
-    """One file as every lint tier sees it: read, parsed and tokenized once.
+    """One file as every lint tier sees it: read, parsed and walked once.
 
     Exactly one of ``tree`` and ``parse_error`` is set: a file that does
     not parse carries its ``P001`` finding instead of an AST (and an
-    empty suppression table).
+    empty suppression table).  ``nodes`` is ``ast.walk(tree)`` in its
+    breadth-first order, the one full walk of the module every rule and
+    pass reads; it is empty for a file that does not parse.
     """
 
     path: str
@@ -129,6 +136,7 @@ class LoadedModule:
     tree: Optional[ast.Module]
     suppressions: Dict[int, FrozenSet[str]] = field(default_factory=dict)
     parse_error: Optional[Finding] = None
+    nodes: Tuple[ast.AST, ...] = field(default=(), repr=False)
 
 
 #: A lint target: a file or directory to discover, or a loaded module.
@@ -136,7 +144,7 @@ Target = Union[str, pathlib.Path, LoadedModule]
 
 
 def _load_source(source: str, path: str) -> LoadedModule:
-    """Parse and tokenize one module's source text under ``path``."""
+    """Parse, walk and tokenize one module's source text under ``path``."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as error:
@@ -152,7 +160,9 @@ def _load_source(source: str, path: str) -> LoadedModule:
                 message=f"file does not parse: {error.msg}",
             ),
         )
-    return LoadedModule(path, source, tree, _suppressions(source))
+    return LoadedModule(
+        path, source, tree, _suppressions(source), nodes=tuple(ast.walk(tree))
+    )
 
 
 def _check(
@@ -164,7 +174,10 @@ def _check(
         report.findings.append(module.parse_error)
         return
     context = ModuleContext(
-        path=module.path, tree=module.tree, source=module.source
+        path=module.path,
+        tree=module.tree,
+        source=module.source,
+        nodes=module.nodes,
     )
     for rule in rules:
         if not path_in_scope(module.path, rule.info.scopes, rule.info.exempt):
@@ -224,7 +237,7 @@ def iter_python_files(
 
 
 def load_modules(paths: Iterable[Target]) -> List[LoadedModule]:
-    """Every module under ``paths``, each read, parsed and tokenized once.
+    """Every module under ``paths``, each read, parsed and walked once.
 
     Files and directories are discovered with :func:`iter_python_files`;
     already-loaded modules pass through untouched (ahead of the

@@ -21,7 +21,7 @@ import ast
 from typing import Iterator, Optional
 
 from repro.lint.findings import Finding, RuleInfo
-from repro.lint.rules import ModuleContext, Rule, register_rule
+from repro.lint.rules import ModuleContext, Rule, iter_own_nodes, register_rule
 
 
 def _is_observer_class(node: ast.ClassDef) -> bool:
@@ -77,7 +77,7 @@ class ObserverReturnsValue(Rule):
     )
 
     def check(self, context: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if not (isinstance(node, ast.ClassDef) and _is_observer_class(node)):
                 continue
             for method in _hook_methods(node):
@@ -86,25 +86,20 @@ class ObserverReturnsValue(Rule):
     def _check_method(
         self, context: ModuleContext, method: ast.FunctionDef
     ) -> Iterator[Finding]:
-        # Walk without descending into nested defs/lambdas: their
-        # returns belong to them, not to the hook.
-        stack = list(method.body)
-        while stack:
-            node = stack.pop()
-            if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                continue
-            if isinstance(node, ast.Return) and node.value is not None:
-                if not (
+        # Nested defs/lambdas are not descended into: their returns
+        # belong to them, not to the hook.
+        for node in iter_own_nodes(method):
+            if (
+                isinstance(node, ast.Return)
+                and node.value is not None
+                and not (
                     isinstance(node.value, ast.Constant)
                     and node.value.value is None
-                ):
-                    yield self.finding(
-                        context,
-                        node,
-                        f"hook `{method.name}` returns a value; the "
-                        "engine ignores hook return values",
-                    )
-                continue
-            stack.extend(ast.iter_child_nodes(node))
+                )
+            ):
+                yield self.finding(
+                    context,
+                    node,
+                    f"hook `{method.name}` returns a value; the "
+                    "engine ignores hook return values",
+                )

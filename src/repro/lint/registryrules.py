@@ -91,7 +91,7 @@ class _RegistrationSites:
                     if isinstance(target, ast.Name):
                         self.local_functions[target.id] = node.value
         decorator_calls = set()
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for decorator in node.decorator_list:
                     if not isinstance(decorator, ast.Call):
@@ -107,7 +107,7 @@ class _RegistrationSites:
                         self.sites.append(
                             (registry, decorator, name_node, None, node)
                         )
-        for node in ast.walk(context.tree):
+        for node in context.nodes:
             if isinstance(node, ast.Call) and id(node) not in decorator_calls:
                 registry = _registry_call_name(context, node)
                 if registry is None:

@@ -1,7 +1,7 @@
 """Rule base class, scope matching and the rule registry.
 
 A rule is a :class:`Rule` subclass with a :class:`~repro.lint.findings.RuleInfo`
-and a :meth:`Rule.check` that walks a parsed module and yields
+and a :meth:`Rule.check` that reads a parsed module and yields
 :class:`~repro.lint.findings.Finding` s.  Rules declare *where they
 apply* through path-scope patterns, so the same analyzer can lint the
 library tree (where ``sim/spec.py`` is determinism-critical) and a test
@@ -23,8 +23,8 @@ the simulator's component registries in :mod:`repro.sim.spec`.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Type
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
 
 from repro.lint.findings import Finding, RuleInfo
 
@@ -116,13 +116,41 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return ".".join(reversed(parts))
 
 
+def iter_own_nodes(root: ast.AST) -> Iterator[ast.AST]:
+    """Walk a callable's body without descending into nested callables.
+
+    Nested ``def``/``lambda`` nodes are yielded (so the caller can index
+    them as their own call-graph nodes) but their bodies are not
+    traversed.  A module root walks the code run at import time.  Both
+    lint tiers share this one walker.
+    """
+    if isinstance(root, ast.Lambda):
+        stack: List[ast.AST] = [root.body]
+    else:
+        stack = list(getattr(root, "body", []))
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        ):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+
+
 @dataclass
 class ModuleContext:
-    """Everything a rule may consult about the module under analysis."""
+    """Everything a rule may consult about the module under analysis.
+
+    ``nodes`` is ``ast.walk(tree)`` in its breadth-first order, walked
+    once when the module is loaded; rules iterate it instead of walking
+    the tree again.
+    """
 
     path: str
     tree: ast.Module
     source: str
+    nodes: Tuple[ast.AST, ...] = field(repr=False)
 
 
 class Rule:

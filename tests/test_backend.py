@@ -8,7 +8,9 @@ the campaign-shaped specs both ways, pins the component-labeling kernel
 on a disconnected dynamic-graph round, and covers the spec/registry/API
 surface (``backend`` field digests, ``repro.run(backend=...)``, CLI
 flags, unknown-name failures).  A Hypothesis differential test extends
-the grid to generated specs over every registered algorithm, and a
+the grid to generated specs over every registered algorithm; a second
+strategy draws only fault-free FSYNC Algorithm 4 runs and checks
+Theorem 4's ``k - initial_occupied`` round bound on every example; and a
 construction count pins that runs outside the array path build no
 arrays at all.
 """
@@ -233,17 +235,8 @@ DECLARED_MODELS = {
 }
 
 
-@st.composite
-def generated_specs(draw):
-    """A small run that is valid under its algorithm's declared model."""
-    name = draw(st.sampled_from(sorted(DECLARED_MODELS)))
-    communication, requires_nk, schedulers, byzantine_ok = (
-        DECLARED_MODELS[name]
-    )
-    params = (
-        {"faithful": draw(st.booleans())}
-        if name == "dispersion_dynamic" else {}
-    )
+def _draw_instance(draw):
+    """``(n, k, seed, graph)``: a churn or static-family graph, n <= 14."""
     n = draw(st.integers(min_value=4, max_value=14))
     k = draw(st.integers(min_value=2, max_value=n))
     seed = draw(st.integers(min_value=0, max_value=10_000))
@@ -257,6 +250,21 @@ def generated_specs(draw):
         graph = ComponentSpec(
             "static_family", {"family": family, "n": n, "seed": seed}
         )
+    return n, k, seed, graph
+
+
+@st.composite
+def generated_specs(draw):
+    """A small run that is valid under its algorithm's declared model."""
+    name = draw(st.sampled_from(sorted(DECLARED_MODELS)))
+    communication, requires_nk, schedulers, byzantine_ok = (
+        DECLARED_MODELS[name]
+    )
+    params = (
+        {"faithful": draw(st.booleans())}
+        if name == "dispersion_dynamic" else {}
+    )
+    n, k, seed, graph = _draw_instance(draw)
     fault = draw(st.sampled_from(
         ["none", "crash", "byzantine"] if byzantine_ok else ["none", "crash"]
     ))
@@ -308,6 +316,45 @@ class TestGeneratedSpecs:
                 reference.rounds
                 <= spec.placement.k - reference.initial_occupied
             ), spec.to_json()
+
+
+@st.composite
+def theorem4_specs(draw):
+    """A fault-free FSYNC Algorithm 4 run: Theorem 4's hypotheses.
+
+    Both ``faithful`` modes, churn and every static family, rooted and
+    arbitrary placement, and a round budget of at least ``k``, which
+    the theorem's ``k - initial_occupied`` bound never exhausts.
+    """
+    communication, requires_nk, _, _ = DECLARED_MODELS["dispersion_dynamic"]
+    n, k, seed, graph = _draw_instance(draw)
+    return RunSpec(
+        graph=graph,
+        placement=PlacementSpec(
+            kind=draw(st.sampled_from(["rooted", "arbitrary"])), k=k
+        ),
+        algorithm=ComponentSpec(
+            "dispersion_dynamic", {"faithful": draw(st.booleans())}
+        ),
+        communication=communication,
+        neighborhood_knowledge=requires_nk or draw(st.booleans()),
+        seed=seed,
+        max_rounds=draw(st.integers(min_value=k, max_value=2 * k)),
+    )
+
+
+class TestTheorem4Generated:
+    @given(theorem4_specs())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_disperses_within_k_minus_initial_occupied(self, spec):
+        reference, vectorized = both_backends(spec)
+        assert run_fingerprint(reference) == run_fingerprint(vectorized), (
+            spec.to_json()
+        )
+        assert reference.dispersed, spec.to_json()
+        assert (
+            reference.rounds <= spec.placement.k - reference.initial_occupied
+        ), spec.to_json()
 
 
 # ----------------------------------------------------------------------

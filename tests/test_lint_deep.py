@@ -821,6 +821,20 @@ class TestDeepCli:
         assert "require --all" in capsys.readouterr().err
 
 
+#: A module with nested callables and a suppression marker, for the
+#: walk and tokenization counts of one ``--all`` run.
+CLOSURES_WITH_SUPPRESSION = {
+    "pkg/util/closures.py": """
+        def outer(values):
+            def inner(value):
+                return value + 1
+            return sorted(values, key=lambda value: inner(value))
+
+        LIMIT = 3  # reprolint: disable=D001 -- marks the file for the tokenizer
+        """,
+}
+
+
 class TestWholeProgramCli:
     """``repro lint --all`` over the one whole-program driver."""
 
@@ -856,9 +870,11 @@ class TestWholeProgramCli:
         # run once per invocation, however many rule families report.
         import ast
         import collections
+        import sys
         import tokenize
 
         import repro.lint.deep.analysis as analysis
+        import repro.lint.rules as rules
 
         stages = (
             "build_index",
@@ -870,26 +886,32 @@ class TestWholeProgramCli:
             "check_robot_model",
         )
         calls = dict.fromkeys(stages, 0)
+        results = {}
         for stage in stages:
             real = getattr(analysis, stage)
 
             def counted(*args, _real=real, _stage=stage, **kwargs):
                 calls[_stage] += 1
-                return _real(*args, **kwargs)
+                results[_stage] = _real(*args, **kwargs)
+                return results[_stage]
 
             monkeypatch.setattr(analysis, stage, counted)
-        build(tmp_path, TWO_HOP_TAINT)
+        build(tmp_path, {**TWO_HOP_TAINT, **CLOSURES_WITH_SUPPRESSION})
         modules = sorted(tmp_path.rglob("*.py"))
-        assert len(modules) == 6
+        assert len(modules) == 7
         # Both tiers share one load: every module is read, parsed and
-        # tokenized once.  Parses count by filename (the call graph also
-        # parses string annotations, under no filename); tokenizations
-        # by source text, which the tokenizer's readline still holds.
+        # walked once, and tokenized once if it can hold a suppression
+        # marker.  Parses count by filename (the call graph also parses
+        # string annotations, under no filename); tokenizations by
+        # source text, which the tokenizer's readline still holds.
         reads = collections.Counter()
         parses = collections.Counter()
         tokenized = collections.Counter()
+        module_walks = collections.Counter()
+        own_walks = collections.Counter()
         real_read, real_parse = pathlib.Path.read_text, ast.parse
-        real_tokens = tokenize.generate_tokens
+        real_tokens, real_walk = tokenize.generate_tokens, ast.walk
+        real_own = rules.iter_own_nodes
 
         def read_text(path, *args, **kwargs):
             reads[path.as_posix()] += 1
@@ -903,9 +925,23 @@ class TestWholeProgramCli:
             tokenized[readline.__self__.getvalue()] += 1
             return real_tokens(readline)
 
+        def walk(node):
+            # AST nodes hash by identity, and the run keeps them alive.
+            if isinstance(node, ast.Module):
+                module_walks[node] += 1
+            return real_walk(node)
+
+        def iter_own_nodes(root):
+            own_walks[root] += 1
+            return real_own(root)
+
         monkeypatch.setattr(pathlib.Path, "read_text", read_text)
         monkeypatch.setattr(ast, "parse", parse)
         monkeypatch.setattr(tokenize, "generate_tokens", generate_tokens)
+        monkeypatch.setattr(ast, "walk", walk)
+        for module in list(sys.modules.values()):
+            if getattr(module, "iter_own_nodes", None) is real_own:
+                monkeypatch.setattr(module, "iter_own_nodes", iter_own_nodes)
         baseline = str(tmp_path / "baseline.json")
         assert lint_main(
             ["--all", "--no-cache", "--baseline", baseline, str(tmp_path)]
@@ -915,9 +951,23 @@ class TestWholeProgramCli:
         once = dict.fromkeys((path.as_posix() for path in modules), 1)
         assert {n: c for n, c in reads.items() if n.endswith(".py")} == once
         assert {n: c for n, c in parses.items() if n in once} == once
+        sources = [real_read(path) for path in modules]
         assert tokenized == collections.Counter(
-            real_read(path) for path in modules
+            source for source in sources if "reprolint" in source
         )
+        assert len(tokenized) == 1
+        # One full walk per module, and one own-node walk per indexed
+        # callable (nested def and lambda included), shared by every
+        # rule and pass.
+        assert sorted(module_walks.values()) == [1] * len(modules)
+        functions = results["build_index"].functions.values()
+        assert "pkg.util.closures.outer.inner" in {
+            function.qualname for function in functions
+        }
+        assert own_walks == collections.Counter(
+            function.node for function in functions
+        )
+        assert len(own_walks) == 6
 
     def test_broken_module_is_one_p001_across_tiers(self, tmp_path, capsys):
         build(tmp_path, {"pkg/ok.py": "x = 1\n", "pkg/bad.py": "def f(:\n"})
