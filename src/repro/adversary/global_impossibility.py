@@ -23,13 +23,12 @@ and by the test suite.
 
 from __future__ import annotations
 
-import copy
 import random
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.graph.dynamic import DynamicGraph, RoundContext
 from repro.graph.snapshot import GraphSnapshot
-from repro.sim.algorithm import MoveDecision, RobotAlgorithm
+from repro.sim.algorithm import MoveDecision, RobotAlgorithm, probe_decisions
 from repro.sim.observation import (
     CommunicationModel,
     build_observations,
@@ -158,18 +157,16 @@ class CliqueRewiringAdversary(DynamicGraph):
         round_index: int,
     ) -> Set[Tuple[int, int]]:
         """Which edges the candidate would traverse this round."""
-        probe = copy.deepcopy(self._algorithm)
-        observations = build_observations(
+        used: Set[Tuple[int, int]] = set()
+        for robot_id, decision in probe_decisions(
+            self._algorithm,
             snapshot,
             positions,
             round_index,
+            positions,
             communication=CommunicationModel.GLOBAL,
             neighborhood_knowledge=False,
-        )
-        probe.on_round_start(round_index)
-        used: Set[Tuple[int, int]] = set()
-        for robot_id in sorted(positions):
-            decision = probe.decide(observations[robot_id])
+        ):
             if isinstance(decision, MoveDecision):
                 node = positions[robot_id]
                 if decision.port <= snapshot.degree(node):

@@ -33,18 +33,16 @@ ID-oblivious rule.
 
 from __future__ import annotations
 
-import copy
 import random
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.graph.dynamic import DynamicGraph, RoundContext
 from repro.graph.snapshot import GraphSnapshot
-from repro.sim.algorithm import MoveDecision, RobotAlgorithm
+from repro.sim.algorithm import MoveDecision, RobotAlgorithm, probe_decisions
 from repro.sim.observation import (
     CommunicationModel,
     InfoPacket,
-    build_observations,
 )
 
 
@@ -333,18 +331,16 @@ class LocalStallAdversary(DynamicGraph):
         communication model with 1-NK -- exactly the information the
         candidate is entitled to.
         """
-        probe = copy.deepcopy(self._algorithm)
-        observations = build_observations(
+        robots_here = [r for r, pos in positions.items() if pos == node]
+        for _, decision in probe_decisions(
+            self._algorithm,
             snapshot,
             positions,
             round_index,
+            robots_here,
             communication=CommunicationModel.LOCAL,
             neighborhood_knowledge=True,
-        )
-        probe.on_round_start(round_index)
-        robots_here = [r for r, pos in positions.items() if pos == node]
-        for robot_id in sorted(robots_here):
-            decision = probe.decide(observations[robot_id])
+        ):
             if isinstance(decision, MoveDecision):
                 if snapshot.neighbor_via(node, decision.port) == target:
                     return True

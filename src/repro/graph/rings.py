@@ -34,7 +34,6 @@ Theorem 1 impossibility.
 
 from __future__ import annotations
 
-import copy
 import random
 from typing import Dict, List, Optional, Tuple
 
@@ -137,27 +136,22 @@ class RingDynamicGraph(DynamicGraph):
     ) -> Optional[Tuple[int, int]]:
         """Simulate the probed algorithm on the full ring; remove the edge
         the smallest moving robot would cross."""
-        from repro.sim.algorithm import MoveDecision
-        from repro.sim.observation import (
-            CommunicationModel,
-            build_observations,
-        )
+        from repro.sim.algorithm import MoveDecision, probe_decisions
+        from repro.sim.observation import CommunicationModel
 
         full_ring = self._build(None)
-        probe = copy.deepcopy(self._algorithm)
-        communication = self._communication or CommunicationModel.LOCAL
-        observations = build_observations(
+        positions = context.positions
+        for robot_id, decision in probe_decisions(
+            self._algorithm,
             full_ring,
-            context.positions,
+            positions,
             round_index,
-            communication=communication,
+            positions,
+            communication=self._communication or CommunicationModel.LOCAL,
             neighborhood_knowledge=self._neighborhood_knowledge,
-        )
-        probe.on_round_start(round_index)
-        for robot_id in sorted(context.positions):
-            decision = probe.decide(observations[robot_id])
+        ):
             if isinstance(decision, MoveDecision):
-                node = context.positions[robot_id]
+                node = positions[robot_id]
                 if decision.port <= full_ring.degree(node):
                     neighbor = full_ring.neighbor_via(node, decision.port)
                     return (node, neighbor)

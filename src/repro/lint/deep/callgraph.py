@@ -59,7 +59,6 @@ from repro.lint.deep.modindex import (
     FunctionInfo,
     ModuleInfo,
     ProjectIndex,
-    _resolve_relative,
     nested_qualname,
 )
 from repro.lint.rules import dotted_name
@@ -336,31 +335,6 @@ class _Scope:
     imports: Dict[str, str] = field(default_factory=dict)
 
 
-def _collect_local_imports(
-    module: ModuleInfo, node: ast.AST, imports: Dict[str, str]
-) -> None:
-    """Record a function-level import statement into ``imports``.
-
-    The deferred-import idiom (``from repro.analysis.figures import
-    build_fig3_instance`` inside a factory) is exactly how the digest
-    path reaches other packages, so these edges are load-bearing.
-    """
-    if isinstance(node, ast.Import):
-        for alias in node.names:
-            if alias.asname is not None:
-                imports[alias.asname] = alias.name
-            else:
-                root = alias.name.split(".", 1)[0]
-                imports[root] = root
-    elif isinstance(node, ast.ImportFrom):
-        base = _resolve_relative(module.package, node.level, node.module)
-        for alias in node.names:
-            if alias.name == "*":
-                continue
-            local = alias.asname or alias.name
-            imports[local] = f"{base}.{alias.name}" if base else alias.name
-
-
 class _GraphBuilder:
     def __init__(self, index: ProjectIndex) -> None:
         self.index = index
@@ -454,23 +428,9 @@ class _GraphBuilder:
             own_class = function.module.classes.get(function.class_name)
             if own_class is None:
                 continue
-            scope = _Scope()
-            nodes = function.own_nodes
-            for node in nodes:
-                _collect_local_imports(function.module, node, scope.imports)
-            for node in nodes:
-                if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                    target = node.targets[0]
-                    if isinstance(target, ast.Name) and isinstance(
-                        node.value, ast.Call
-                    ):
-                        resolved = self._resolve_call_target(
-                            function.module, node.value.func, scope, own_class
-                        )
-                        if resolved is not None and resolved[0] == "class":
-                            assert isinstance(resolved[1], ClassInfo)
-                            scope.types[target.id] = resolved[1]
-            for node in nodes:
+            scope = _Scope(imports=dict(function.local_imports))
+            self._type_locals(function, scope, own_class)
+            for node in function.own_nodes:
                 target, value, annotation = _self_attr_assignment(node)
                 if target is None:
                     continue
@@ -510,14 +470,7 @@ class _GraphBuilder:
         dotted = dotted_name(annotation)
         if dotted is None:
             return None
-        parts = dotted.split(".")
-        resolved: _Resolved = None
-        if parts[0] in scope.imports:
-            resolved = self.resolver.resolve_absolute(
-                ".".join([scope.imports[parts[0]]] + parts[1:])
-            )
-        if resolved is None:
-            resolved = self.resolver.resolve(module, dotted)
+        resolved = self._resolve_in_scope(module, dotted, scope)
         if resolved is not None and resolved[0] == "class":
             assert isinstance(resolved[1], ClassInfo)
             return resolved[1]
@@ -648,8 +601,7 @@ class _GraphBuilder:
         nodes = function.own_nodes
         # Imports and nested defs first, so the later call pass resolves
         # local names regardless of traversal order.
-        for node in nodes:
-            _collect_local_imports(module, node, scope.imports)
+        scope.imports.update(function.local_imports)
         for node in nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 nested = self._nested(function, node, scope)
@@ -660,23 +612,33 @@ class _GraphBuilder:
         # Type inference before call handling: node order is traversal
         # order, not source order, so a method call can surface before
         # the assignment that names its receiver.
-        for node in nodes:
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name) and isinstance(
-                    node.value, ast.Call
-                ):
-                    resolved = self._resolve_call_target(
-                        module, node.value.func, scope, own_class
-                    )
-                    if resolved is not None and resolved[0] == "class":
-                        assert isinstance(resolved[1], ClassInfo)
-                        scope.types[target.id] = resolved[1]
+        self._type_locals(function, scope, own_class)
         for node in nodes:
             if isinstance(node, ast.Call):
                 self._handle_call(function, node, scope, own_class)
         self._handle_decorators(function, scope)
         return discovered
+
+    def _type_locals(
+        self,
+        function: FunctionInfo,
+        scope: "_Scope",
+        own_class: Optional[ClassInfo],
+    ) -> None:
+        """Type each ``x = ClassName(...)`` local into ``scope.types``."""
+        for node in function.own_nodes:
+            if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
+                continue
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and isinstance(
+                node.value, ast.Call
+            ):
+                resolved = self._resolve_call_target(
+                    function.module, node.value.func, scope, own_class
+                )
+                if resolved is not None and resolved[0] == "class":
+                    assert isinstance(resolved[1], ClassInfo)
+                    scope.types[target.id] = resolved[1]
 
     def _nested(
         self,
@@ -767,11 +729,16 @@ class _GraphBuilder:
         dotted = dotted_name(func_expr)
         if dotted is None:
             return None
-        parts = dotted.split(".")
-        if parts[0] in scope.imports:
-            resolved = self.resolver.resolve_absolute(
-                ".".join([scope.imports[parts[0]]] + parts[1:])
-            )
+        return self._resolve_in_scope(module, dotted, scope)
+
+    def _resolve_in_scope(
+        self, module: ModuleInfo, dotted: str, scope: "_Scope"
+    ) -> _Resolved:
+        """``dotted`` through the function's imports, then the module's."""
+        head, _, rest = dotted.partition(".")
+        if head in scope.imports:
+            absolute = scope.imports[head] + ("." + rest if rest else "")
+            resolved = self.resolver.resolve_absolute(absolute)
             if resolved is not None:
                 return resolved
         return self.resolver.resolve(module, dotted)

@@ -13,10 +13,10 @@ through local aliases, helpers, registry-dispatched factories and
   Applies to every class that subclasses ``EngineBackend`` -- by base
   chain or by the ``*Backend``-with-phase-methods convention, so future
   registered backends and test fixtures are covered without imports.
-* ``E002``: a phase body mutates a payload parameter that is not a
-  documented out-parameter (:data:`repro.sim.backend.PHASE_OUT_PARAMS`);
-  ``observe``/``compute`` handing back a mutated observation map is the
-  canonical silent-corruption bug.
+* ``E002``: a phase body mutates a payload parameter -- the round's
+  ``state`` included: phases return the next state instead of writing
+  one.  ``observe``/``compute`` handing back a mutated observation map
+  is the canonical silent-corruption bug.
 * ``E003``: an observer ``on_*`` hook mutates its payload -- directly
   (attribute or subscript store, ``del``, augmented assignment, a
   mutating method call), through a local alias
@@ -66,11 +66,14 @@ from repro.lint.deep.modindex import ClassInfo, FunctionInfo, ProjectIndex
 from repro.lint.findings import Finding
 from repro.lint.hookrules import _is_observer_class
 from repro.lint.rules import path_in_scope
-from repro.sim.backend import PHASE_MUTABLE_ATTRS, PHASE_OUT_PARAMS
+from repro.sim.backend import PHASE_MUTABLE_ATTRS
 from repro.sim.spec import DIGEST_EXEMPT_FIELDS, SPEC_BASELINE_FIELDS
 
 #: The backend phase primitives the E-rules govern.
-PHASE_METHODS: Tuple[str, ...] = tuple(PHASE_MUTABLE_ATTRS)
+PHASE_METHODS: Tuple[str, ...] = (
+    "observe", "activate", "compute", "move", "settle",
+    "audit_memory", "count_occupied_components",
+)
 
 #: Modules holding spec classes whose ``to_dict`` is digest material.
 SPEC_SCOPE: Tuple[str, ...] = ("sim/spec.py",)
@@ -177,6 +180,41 @@ def _finding_site(
     )
 
 
+def _phase_violation(
+    phase: str, key: EffectKey, effects: FunctionEffects
+) -> Optional[Tuple[str, str, str]]:
+    """``(code, subject, message)`` if effect ``key`` breaks the contract."""
+    if key[0] == "io":
+        return (
+            "E004",
+            key[1],
+            f"backend phase `{phase}` performs I/O ({key[1]}); phase bodies "
+            "are deterministic simulation code",
+        )
+    if key[0] != "mut":
+        return None
+    index, mut_path = key[1], key[2]
+    if index == 0:
+        allowed = PHASE_MUTABLE_ATTRS.get(phase, frozenset())
+        state = _engine_state_attr(mut_path)
+        if state is None or state in allowed:
+            return None
+        allowed_text = ", ".join(sorted(allowed)) if allowed else "none"
+        return (
+            "E001",
+            state,
+            f"backend phase `{phase}` mutates engine state `{state}` outside "
+            f"the phase contract (allowed: {allowed_text})",
+        )
+    param = effects.param_name(index)
+    return (
+        "E002",
+        param,
+        f"backend phase `{phase}` mutates its `{param}` payload parameter; "
+        "a phase returns what it produces instead",
+    )
+
+
 def _check_backend_phases(
     graph: CallGraph, summaries: Dict[str, FunctionEffects]
 ) -> Iterator[Tuple[Finding, str]]:
@@ -191,65 +229,11 @@ def _check_backend_phases(
             effects = summaries.get(method.qualname)
             if effects is None:
                 continue
-            allowed = PHASE_MUTABLE_ATTRS.get(phase, frozenset())
-            out_params = PHASE_OUT_PARAMS.get(phase, frozenset())
             for key in sorted(effects.effects):
-                if key[0] == "io":
-                    path, line, col, chain = _finding_site(
-                        graph, summaries, method.qualname, key
-                    )
-                    yield (
-                        Finding(
-                            path=path,
-                            line=line,
-                            column=col,
-                            code="E004",
-                            message=(
-                                f"backend phase `{phase}` performs I/O "
-                                f"({key[1]}); phase bodies are "
-                                "deterministic simulation code -- chain: "
-                                f"{chain}"
-                            ),
-                        ),
-                        f"E004|{method.qualname}|{key[1]}",
-                    )
+                violation = _phase_violation(phase, key, effects)
+                if violation is None:
                     continue
-                if key[0] != "mut":
-                    continue
-                index, mut_path = key[1], key[2]
-                if index == 0:
-                    state = _engine_state_attr(mut_path)
-                    if state is None or state in allowed:
-                        continue
-                    path, line, col, chain = _finding_site(
-                        graph, summaries, method.qualname, key
-                    )
-                    allowed_text = (
-                        ", ".join(sorted(allowed)) if allowed else "none"
-                    )
-                    yield (
-                        Finding(
-                            path=path,
-                            line=line,
-                            column=col,
-                            code="E001",
-                            message=(
-                                f"backend phase `{phase}` mutates engine "
-                                f"state `{state}` outside the phase "
-                                f"contract (allowed: {allowed_text}) -- "
-                                f"chain: {chain}"
-                            ),
-                        ),
-                        f"E001|{method.qualname}|{state}",
-                    )
-                    continue
-                param = (
-                    effects.params[index]
-                    if index < len(effects.params)
-                    else f"arg{index}"
-                )
-                if param in out_params:
-                    continue
+                code, subject, message = violation
                 path, line, col, chain = _finding_site(
                     graph, summaries, method.qualname, key
                 )
@@ -258,15 +242,10 @@ def _check_backend_phases(
                         path=path,
                         line=line,
                         column=col,
-                        code="E002",
-                        message=(
-                            f"backend phase `{phase}` mutates its "
-                            f"`{param}` payload parameter; only "
-                            "documented out-parameters may be written "
-                            f"-- chain: {chain}"
-                        ),
+                        code=code,
+                        message=f"{message} -- chain: {chain}",
                     ),
-                    f"E002|{method.qualname}|{param}",
+                    f"{code}|{method.qualname}|{subject}",
                 )
 
 
@@ -286,12 +265,7 @@ def _check_observer_hooks(
             for key in sorted(effects.effects):
                 if key[0] != "mut" or key[1] == 0:
                     continue
-                index = key[1]
-                param = (
-                    effects.params[index]
-                    if index < len(effects.params)
-                    else f"arg{index}"
-                )
+                param = effects.param_name(key[1])
                 if param in reported:
                     continue
                 reported.add(param)

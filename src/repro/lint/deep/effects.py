@@ -165,6 +165,11 @@ class FunctionEffects:
         self.effects[key] = witness
         return True
 
+    def param_name(self, index: int) -> str:
+        """The declared name of parameter ``index`` (``argN`` past the end)."""
+        named = index < len(self.params)
+        return self.params[index] if named else f"arg{index}"
+
     def mutated_params(self) -> Iterator[Tuple[int, Tuple[str, ...]]]:
         """Every ``(param index, attr path)`` this callable mutates."""
         for key in self.effects:

@@ -69,6 +69,13 @@ class FunctionInfo:
         """
         return tuple(iter_own_nodes(self.node))
 
+    @cached_property
+    def local_imports(self) -> Dict[str, str]:
+        """The callable's function-level import table, built once: the
+        deferred-import idiom is how the digest path reaches other
+        packages, so these edges are load-bearing."""
+        return _import_table(self.module.package, self.own_nodes)
+
 
 @dataclass
 class ClassInfo:
@@ -160,26 +167,31 @@ def _resolve_relative(package: str, level: int, module: Optional[str]) -> str:
     return ".".join(parts)
 
 
-def _index_imports(info: ModuleInfo) -> None:
-    for node in info.tree.body:
+def _import_table(package: str, nodes: Iterable[ast.AST]) -> Dict[str, str]:
+    """Local alias -> absolute dotted target of the imports in ``nodes``.
+
+    A later node rebinding an alias wins; ``package`` anchors relative
+    imports.
+    """
+    imports: Dict[str, str] = {}
+    for node in nodes:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname is not None:
-                    info.imports[alias.asname] = alias.name
+                    imports[alias.asname] = alias.name
                 else:
                     # ``import a.b`` binds ``a``; attribute access walks
                     # the rest of the dotted path.
                     root = alias.name.split(".", 1)[0]
-                    info.imports[root] = root
+                    imports[root] = root
         elif isinstance(node, ast.ImportFrom):
-            base = _resolve_relative(info.package, node.level, node.module)
+            base = _resolve_relative(package, node.level, node.module)
             for alias in node.names:
                 if alias.name == "*":
                     continue
                 local = alias.asname or alias.name
-                info.imports[local] = (
-                    f"{base}.{alias.name}" if base else alias.name
-                )
+                imports[local] = f"{base}.{alias.name}" if base else alias.name
+    return imports
 
 
 def _index_module_body(info: ModuleInfo, index: ProjectIndex) -> None:
@@ -298,6 +310,6 @@ def build_index(paths: Iterable[Target]) -> ProjectIndex:
             suppressions=module.suppressions,
         )
         index.modules[name] = info
-        _index_imports(info)
+        info.imports = _import_table(info.package, info.tree.body)
         _index_module_body(info, index)
     return index

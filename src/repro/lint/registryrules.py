@@ -45,15 +45,6 @@ def _registry_call_name(context: ModuleContext, node: ast.Call) -> Optional[str]
     return None
 
 
-def _locally_defined_registries(tree: ast.Module) -> Set[str]:
-    """Registry function names *defined* in this module (exempt callers)."""
-    defined = set()
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and node.name in REGISTRY_ARITY:
-            defined.add(node.name)
-    return defined
-
-
 def _positional_param_range(fn: ast.AST) -> Optional[Tuple[int, int]]:
     """The ``(min, max)`` positional parameters a function/lambda accepts.
 
@@ -69,11 +60,16 @@ def _positional_param_range(fn: ast.AST) -> Optional[Tuple[int, int]]:
     return total - len(args.defaults), total
 
 
-class _RegistrationSites:
-    """Shared walk: every registry call site in a module, pre-digested."""
+class RegistrationSites:
+    """Every registry call site in a module, pre-digested.
+
+    Built once per module per run, as
+    :attr:`ModuleContext.registration_sites`, and shared by R001-R003.
+    """
 
     def __init__(self, context: ModuleContext) -> None:
-        self.exempt = _locally_defined_registries(context.tree)
+        #: registry function names *defined* here (exempt callers)
+        self.exempt: Set[str] = set()
         #: ``(registry, call, name_node, factory_node, decorated_def)``
         self.sites: List[
             Tuple[str, ast.Call, Optional[ast.expr], Optional[ast.expr],
@@ -84,6 +80,10 @@ class _RegistrationSites:
         for node in context.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self.local_functions[node.name] = node
+                if isinstance(node, ast.FunctionDef) and (
+                    node.name in REGISTRY_ARITY
+                ):
+                    self.exempt.add(node.name)
             elif isinstance(node, ast.Assign) and isinstance(
                 node.value, ast.Lambda
             ):
@@ -137,7 +137,7 @@ class UnresolvableRegistryName(Rule):
     )
 
     def check(self, context: ModuleContext) -> Iterator[Finding]:
-        sites = _RegistrationSites(context)
+        sites = context.registration_sites
         for registry, call, name_node, _factory, _decorated in sites.sites:
             if registry in sites.exempt:
                 continue
@@ -184,7 +184,7 @@ class DuplicateRegistration(Rule):
     )
 
     def check(self, context: ModuleContext) -> Iterator[Finding]:
-        sites = _RegistrationSites(context)
+        sites = context.registration_sites
         seen: Set[Tuple[str, str]] = set()
         for registry, _call, name_node, _factory, _decorated in sites.sites:
             if not (
@@ -227,7 +227,7 @@ class FactoryArityMismatch(Rule):
     )
 
     def check(self, context: ModuleContext) -> Iterator[Finding]:
-        sites = _RegistrationSites(context)
+        sites = context.registration_sites
         for registry, _call, _name, factory, decorated in sites.sites:
             if registry in sites.exempt:
                 continue

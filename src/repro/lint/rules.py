@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
 
 from repro.lint.findings import Finding, RuleInfo
@@ -151,6 +152,13 @@ class ModuleContext:
     tree: ast.Module
     source: str
     nodes: Tuple[ast.AST, ...] = field(repr=False)
+
+    @cached_property
+    def registration_sites(self):
+        """The registry call sites R001-R003 share, collected on first use."""
+        from repro.lint.registryrules import RegistrationSites
+
+        return RegistrationSites(self)
 
 
 class Rule:

@@ -23,9 +23,10 @@ from repro.sim.observation import (
     build_observations,
 )
 from repro.sim.algorithm import RobotAlgorithm, StayDecision, MoveDecision, Decision
+from repro.sim.algorithm import probe_decisions
 from repro.sim.backend import EngineBackend, ReferenceBackend
 from repro.sim.metrics import RoundRecord, RunResult, TerminationReason
-from repro.sim.engine import SimulationEngine, SimulationError
+from repro.sim.engine import RoundState, SimulationEngine, SimulationError
 from repro.sim.invariants import verify_run
 from repro.sim.traceio import (
     dynamic_graph_to_script,
@@ -101,6 +102,7 @@ __all__ = [
     "Observation",
     "build_info_packets",
     "build_observations",
+    "probe_decisions",
     "RobotAlgorithm",
     "Decision",
     "StayDecision",
@@ -108,6 +110,7 @@ __all__ = [
     "RoundRecord",
     "RunResult",
     "TerminationReason",
+    "RoundState",
     "SimulationEngine",
     "SimulationError",
     "EngineBackend",

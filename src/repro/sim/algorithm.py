@@ -14,11 +14,17 @@ the synchronous Move phase.
 
 from __future__ import annotations
 
+import copy
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, Mapping, Tuple, Union
 
-from repro.sim.observation import CommunicationModel, Observation
+from repro.graph.snapshot import GraphSnapshot
+from repro.sim.observation import (
+    CommunicationModel,
+    Observation,
+    build_observations,
+)
 
 
 @dataclass(frozen=True)
@@ -115,3 +121,32 @@ class RobotAlgorithm(ABC):
         the engine's ground-truth stop (which is flagged in the result).
         """
         return not observation.sees_multiplicity
+
+
+def probe_decisions(
+    algorithm: RobotAlgorithm,
+    snapshot: GraphSnapshot,
+    positions: Mapping[int, int],
+    round_index: int,
+    robots: Iterable[int],
+    *,
+    communication: CommunicationModel,
+    neighborhood_knowledge: bool,
+) -> Iterator[Tuple[int, Decision]]:
+    """What ``robots`` would decide on ``snapshot``, in ascending ID order.
+
+    The adaptive adversaries' look-ahead (the paper's adversary knows the
+    algorithm and its state): one deep copy of ``algorithm`` observes
+    every robot's view and decides lazily; ``algorithm`` is untouched.
+    """
+    probe = copy.deepcopy(algorithm)
+    observations = build_observations(
+        snapshot,
+        positions,
+        round_index,
+        communication=communication,
+        neighborhood_knowledge=neighborhood_knowledge,
+    )
+    probe.on_round_start(round_index)
+    for robot_id in sorted(robots):
+        yield robot_id, probe.decide(observations[robot_id])

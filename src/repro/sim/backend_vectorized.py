@@ -2,9 +2,9 @@
 
 The reference backend rebuilds per-robot :class:`InfoPacket` /
 :class:`Observation` objects, component graphs, spanning trees, and
-root-path sets as dicts and dataclasses every round.  This backend keeps
-the same engine-owned ground truth but executes the hot phases on flat
-integer arrays:
+root-path sets as dicts and dataclasses every round.  This backend reads
+the same round state but executes the hot phases on flat integer
+arrays:
 
 * the round snapshot is read as the CSR adjacency it stores (``indptr``
   + port-ordered ``neighbors``); the snapshot keeps the numpy copies it
@@ -49,6 +49,7 @@ from repro.core.dispersion import DispersionDynamic
 from repro.robots.memory import bits_for_state
 from repro.sim.algorithm import Decision, MoveDecision, STAY
 from repro.sim.backend import ReferenceBackend
+from repro.sim.engine import RoundState
 from repro.sim.observation import (
     CommunicationModel,
     Observation,
@@ -158,44 +159,32 @@ class _LazyObservations(Mapping):
     The array compute path reads the round's arrays instead, so for most
     rounds no packet object is ever built; when an observer (or the
     termination-detection round) does subscript, the reference packet
-    pipeline runs on state captured at observe time (global packets with
+    pipeline runs on the round's state as observed (global packets with
     neighborhood knowledge, the array path's only model), producing
     content byte-identical to the reference backend's eager delivery.
     """
 
-    __slots__ = (
-        "_snapshot",
-        "_round_index",
-        "_positions",
-        "_entry_ports",
-        "_materialized",
-    )
+    __slots__ = ("_snapshot", "_round_index", "_state", "_materialized")
 
-    def __init__(
-        self,
-        snapshot,
-        round_index: int,
-        positions: Dict[int, int],
-        entry_ports: Dict[int, int],
-    ) -> None:
+    def __init__(self, snapshot, round_index: int, state: RoundState) -> None:
         self._snapshot = snapshot
         self._round_index = round_index
-        self._positions = positions
-        self._entry_ports = entry_ports
+        self._state = state
         self._materialized: Optional[Mapping[int, Observation]] = None
 
     def _materialize(self) -> Mapping[int, Observation]:
         if self._materialized is None:
+            positions = self._state.positions
             packets = build_info_packets(
-                self._snapshot, self._positions, neighborhood_knowledge=True
+                self._snapshot, positions, neighborhood_knowledge=True
             )
             self._materialized = observations_from_packets(
                 packets,
-                self._positions,
+                positions,
                 self._round_index,
                 communication=CommunicationModel.GLOBAL,
                 neighborhood_knowledge=True,
-                entry_ports=self._entry_ports,
+                entry_ports=self._state.entry_ports,
             )
         return self._materialized
 
@@ -203,10 +192,10 @@ class _LazyObservations(Mapping):
         return self._materialize()[robot_id]
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._positions)
+        return iter(self._state.positions)
 
     def __len__(self) -> int:
-        return len(self._positions)
+        return len(self._state.positions)
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +225,7 @@ class _RoundArrays:
 
     def __init__(
         self,
-        positions: Dict[int, int],
+        positions: Mapping[int, int],
         indptr: np.ndarray,
         neighbors: np.ndarray,
     ) -> None:
@@ -425,7 +414,7 @@ class VectorizedBackend(ReferenceBackend):
 
     def on_bind(self) -> None:
         engine = self.engine
-        algorithm = engine._algorithm
+        algorithm = engine.algorithm
         self._round: Optional[_RoundArrays] = None
         # The arrays model stock fast-mode Algorithm 4 under its declared
         # model: honest robots, global packets with neighborhood
@@ -434,9 +423,9 @@ class VectorizedBackend(ReferenceBackend):
         # persistent state is {"id": robot_id} and bit cost is monotone
         # in the id, so the memory audit is one call on the largest id.
         self._fast = (
-            not engine._byzantine
-            and engine._communication is CommunicationModel.GLOBAL
-            and engine._neighborhood_knowledge
+            not engine.byzantine_policies
+            and engine.communication is CommunicationModel.GLOBAL
+            and engine.neighborhood_knowledge
             and isinstance(algorithm, DispersionDynamic)
             and not algorithm._faithful
             and all(
@@ -453,26 +442,23 @@ class VectorizedBackend(ReferenceBackend):
 
     # -- phases ---------------------------------------------------------
 
-    def observe(self, snapshot, round_index: int):
+    def observe(self, state, snapshot, round_index: int):
         if not self._fast:
-            return super().observe(snapshot, round_index)
-        engine = self.engine
-        positions = dict(engine._positions)
-        self._round = _RoundArrays(positions, *snapshot_to_csr(snapshot))
-        num_occupied = len(self._round.occ_nodes)
-        engine._packets_broadcast += num_occupied
-        engine._packet_deliveries += num_occupied * len(positions)
-        return _LazyObservations(
-            snapshot, round_index, positions, dict(engine._entry_ports)
+            return super().observe(state, snapshot, round_index)
+        self._round = _RoundArrays(
+            state.positions, *snapshot_to_csr(snapshot)
         )
+        return _LazyObservations(snapshot, round_index, state)
 
     def compute(
-        self, snapshot, round_index: int, observations, active
+        self, state, snapshot, round_index: int, observations, active
     ) -> Dict[int, Decision]:
         if not self._fast:
-            return super().compute(snapshot, round_index, observations, active)
+            return super().compute(
+                state, snapshot, round_index, observations, active
+            )
         # The engine observes every round before computing, on the same
-        # snapshot and positions, so the arrays are this round's.
+        # snapshot and state, so the arrays are this round's.
         arrays = self._round
         if not arrays.has_multiplicity:
             # No multiplicity packet anywhere: every robot stays
@@ -487,16 +473,14 @@ class VectorizedBackend(ReferenceBackend):
             )
         return decisions
 
-    def audit_memory(self) -> int:
+    def audit_memory(self, state) -> int:
         if not self._fast:
-            return super().audit_memory()
-        engine = self.engine
-        if not engine._positions:
+            return super().audit_memory(state)
+        if not state.positions:
             return 0
-        bounds = engine._algorithm.persistent_state_bounds(
-            engine._k, engine._n
-        )
-        return bits_for_state({"id": max(engine._positions)}, bounds=bounds)
+        engine = self.engine
+        bounds = engine.algorithm.persistent_state_bounds(engine.k, engine.n)
+        return bits_for_state({"id": max(state.positions)}, bounds=bounds)
 
     def count_occupied_components(self, snapshot, occupied) -> int:
         if not self._fast:

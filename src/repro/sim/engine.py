@@ -24,24 +24,28 @@ FSYNC (the paper's model, the default, byte-identical to the historical
 synchronous loop), SSYNC (an activation policy picks a subset per step)
 or ASYNC (a seeded event-queue scheduler).  See ``docs/scheduling.md``.
 
+The configuration is one immutable :class:`RoundState`;
+:meth:`SimulationEngine.step` maps it to the next one (steps 3-7).
 *How* each phase executes is delegated to an
 :class:`~repro.sim.backend.EngineBackend` (default: the pure-Python
-``reference`` backend, byte-identical to the historical engine; the
-``vectorized`` backend swaps in numpy struct-of-arrays kernels).  The
-engine owns the ground truth and uses it for termination detection,
-validation, and metrics; algorithms never receive it.
+``reference`` backend; the ``vectorized`` backend swaps in numpy
+struct-of-arrays kernels).  The engine owns the ground truth and uses it
+for termination detection, validation, and metrics; algorithms never
+receive it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
+    Container,
     Dict,
     FrozenSet,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
@@ -55,7 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - circular-import guard (annotations)
     from repro.robots.byzantine import ByzantinePolicy
     from repro.sim.backend import EngineBackend
 from repro.robots.robot import RobotSet
-from repro.sim.algorithm import Decision, RobotAlgorithm
+from repro.sim.algorithm import RobotAlgorithm
 from repro.sim.metrics import RoundRecord, RunResult, TerminationReason
 from repro.sim.observation import CommunicationModel
 from repro.sim.scheduling import (
@@ -69,6 +73,64 @@ from repro.sim.scheduling import (
 
 class SimulationError(RuntimeError):
     """An algorithm or adversary violated the model during a run."""
+
+
+@dataclass(frozen=True)
+class RoundState:
+    """The configuration between two rounds; nothing writes to it.
+
+    ``positions`` keeps robot-insertion order (observations follow it);
+    ``entry_ports`` covers the robots that arrived in the last round;
+    ``pending_moves`` maps a robot in transit to ``(arrival step,
+    destination, entry port at destination)``.
+    """
+
+    positions: Dict[int, int]
+    entry_ports: Dict[int, int] = field(default_factory=dict)
+    pending_moves: Dict[int, Tuple[int, int, int]] = field(
+        default_factory=dict
+    )
+    crashed: FrozenSet[int] = frozenset()
+    ever_occupied: FrozenSet[int] = frozenset()
+    packets_broadcast: int = 0
+    packet_deliveries: int = 0
+
+    def honest_positions(self, byzantine: Container[int]) -> Dict[int, int]:
+        """Positions of the alive robots not in ``byzantine``."""
+        return {
+            robot_id: node
+            for robot_id, node in self.positions.items()
+            if robot_id not in byzantine
+        }
+
+    def eligible_robots(self, byzantine: Container[int]) -> Tuple[int, ...]:
+        """Alive honest robots that can be activated (not in transit)."""
+        return tuple(
+            robot_id
+            for robot_id in sorted(self.honest_positions(byzantine))
+            if robot_id not in self.pending_moves
+        )
+
+    def is_dispersed(self, byzantine: Container[int]) -> bool:
+        """No multiplicity node among alive robots.
+
+        With byzantine robots present, dispersion is judged on the honest
+        robots only (the BYZANTINEDISPERSION analog of Definition 6): each
+        alive honest robot on its own distinct node.
+        """
+        honest = self.honest_positions(byzantine)
+        return len(set(honest.values())) == len(honest)
+
+
+class StepOutcome(NamedTuple):
+    """What one :meth:`SimulationEngine.step` did besides the new state:
+    the robots that reached a new node and the after-Compute crash
+    victims (both ascending), the activation and the active set."""
+
+    moved: Tuple[int, ...]
+    crashed_after_compute: Tuple[int, ...]
+    activation: Activation
+    active: FrozenSet[int]
 
 
 class SimulationEngine:
@@ -110,9 +172,7 @@ class SimulationEngine:
         The :class:`~repro.sim.backend.EngineBackend` executing the phase
         primitives (default: a fresh ``ReferenceBackend``).  Alternative
         backends must be bit-identical to the reference on the same
-        configuration.  (The former ``round_observers`` parameter --
-        deprecated since the observer layer landed -- has been removed;
-        pass ``observers=[CallbackObserver(fn)]`` instead.)
+        configuration.
     observers:
         :class:`~repro.sim.hooks.EngineObserver` instances receiving the
         per-phase instrumentation hooks (round start / communicate /
@@ -195,7 +255,6 @@ class SimulationEngine:
         self._crash_schedule = crash_schedule or CrashSchedule.none()
         self._communication = communication
         self._neighborhood_knowledge = neighborhood_knowledge
-        self._collect_records = collect_records
         self._collect_snapshots = collect_snapshots
         self._validate_graphs = validate_graphs
         self._scheduler = scheduler
@@ -219,18 +278,12 @@ class SimulationEngine:
         self._n = dynamic_graph.n
         self._k = len(initial_positions)
         self._validated_snapshot: Optional[object] = None
-        self._positions: Dict[int, int] = dict(initial_positions)
-        self._crashed: Set[int] = set()
-        self._entry_ports: Dict[int, int] = {}
-        # robot -> (arrival step, destination, entry port at destination):
-        # moves whose Move phase takes time under the scheduler model.
-        self._pending_moves: Dict[int, Tuple[int, int, int]] = {}
+        self._state = RoundState(
+            positions=dict(initial_positions),
+            ever_occupied=frozenset(initial_positions.values()),
+        )
         self._last_epoch: Optional[int] = None
-        self._ever_occupied: Set[int] = set(initial_positions.values())
-        self._initial_occupied = len(self._ever_occupied)
-
-        self._packets_broadcast = 0
-        self._packet_deliveries = 0
+        self._initial_occupied = len(self._state.ever_occupied)
 
         if max_rounds is None:
             max_rounds = 10 * self._k * self._n + 100
@@ -245,14 +298,14 @@ class SimulationEngine:
         self._backend: "EngineBackend" = backend
         self._backend.bind(self)
 
+    # ------------------------------------------------------------------
+    # Run-constant inputs (read-only; backends read them through these)
+    # ------------------------------------------------------------------
+
     @property
     def backend(self) -> "EngineBackend":
         """The phase-execution backend driving this engine."""
         return self._backend
-
-    # ------------------------------------------------------------------
-    # Ground-truth helpers
-    # ------------------------------------------------------------------
 
     @property
     def k(self) -> int:
@@ -264,132 +317,152 @@ class SimulationEngine:
         """Nodes in the dynamic graph."""
         return self._n
 
-    def _honest_positions(self) -> Dict[int, int]:
-        return {
-            robot_id: node
-            for robot_id, node in self._positions.items()
-            if robot_id not in self._byzantine
-        }
+    @property
+    def algorithm(self) -> RobotAlgorithm:
+        """The robot program."""
+        return self._algorithm
 
-    def _is_dispersed(self) -> bool:
-        """No multiplicity node among alive robots.
+    @property
+    def scheduler(self) -> SchedulerModel:
+        """The scheduler model picking who wakes each step."""
+        return self._scheduler
 
-        With byzantine robots present, dispersion is judged on the honest
-        robots only (the BYZANTINEDISPERSION analog of Definition 6): each
-        alive honest robot on its own distinct node.
-        """
-        honest = self._honest_positions()
-        return len(set(honest.values())) == len(honest)
+    @property
+    def byzantine_policies(self) -> Mapping[int, "ByzantinePolicy"]:
+        """Byzantine robot id -> the policy driving it."""
+        return self._byzantine
 
-    def _apply_crashes(self, round_index: int, phase: CrashPhase) -> Tuple[int, ...]:
-        victims = sorted(
-            robot_id
-            for robot_id in self._crash_schedule.crashes_at(round_index, phase)
-            if robot_id in self._positions
-        )
-        for robot_id in victims:
-            del self._positions[robot_id]
-            self._entry_ports.pop(robot_id, None)
-            # A crashed robot vanishes mid-traversal too: its pending
-            # arrival is discarded with it.
-            self._pending_moves.pop(robot_id, None)
-            self._crashed.add(robot_id)
-        return tuple(victims)
+    @property
+    def communication(self) -> CommunicationModel:
+        """The run's communication model."""
+        return self._communication
 
-    def _audit_memory(self) -> int:
-        """Peak persistent bits across alive honest robots, right now."""
-        return self._backend.audit_memory()
+    @property
+    def neighborhood_knowledge(self) -> bool:
+        """Whether robots get 1-neighborhood knowledge."""
+        return self._neighborhood_knowledge
 
     # ------------------------------------------------------------------
-    # Phase primitives (delegated to the backend; the engine keeps the
-    # observer notifications so backends stay instrumentation-free)
+    # Rounds: state transitions, one step, and the main loop
     # ------------------------------------------------------------------
 
     def _notify(self, method: str, *args) -> None:
         for observer in self._observers:
             getattr(observer, method)(*args)
 
-    def _eligible_robots(self) -> Tuple[int, ...]:
-        """Alive honest robots that can be activated (not in transit)."""
-        return tuple(
-            robot_id
-            for robot_id in sorted(self._honest_positions())
-            if robot_id not in self._pending_moves
+    def _apply_crashes(
+        self, state: RoundState, round_index: int, phase: CrashPhase
+    ) -> Tuple[RoundState, Tuple[int, ...]]:
+        """``state`` without the robots ``phase`` crashes this round (a
+        robot in transit vanishes with its pending arrival)."""
+        crashing = self._crash_schedule.crashes_at(round_index, phase)
+        victims = tuple(sorted(r for r in crashing if r in state.positions))
+        if not victims:
+            return state, victims
+        gone = frozenset(victims)
+
+        def alive(mapping: Mapping) -> Dict:
+            return {r: v for r, v in mapping.items() if r not in gone}
+
+        return replace(
+            state,
+            positions=alive(state.positions),
+            entry_ports=alive(state.entry_ports),
+            pending_moves=alive(state.pending_moves),
+            crashed=state.crashed | gone,
+        ), victims
+
+    def _communicate(
+        self, state: RoundState, snapshot, round_index: int
+    ) -> Tuple[RoundState, Mapping]:
+        """The backend's observations, and ``state`` with their packets
+        counted: one per occupied node (forgery keeps the nodes),
+        delivered to every alive robot under global communication, to
+        its own node's robots under local."""
+        observations = self._backend.observe(state, snapshot, round_index)
+        alive = len(state.positions)
+        packets = len(set(state.positions.values()))
+        is_global = self._communication is CommunicationModel.GLOBAL
+        state = replace(
+            state,
+            packets_broadcast=state.packets_broadcast + packets,
+            packet_deliveries=state.packet_deliveries
+            + (packets * alive if is_global else alive),
         )
-
-    def _phase_observe(self, snapshot, round_index: int):
-        """Deliver/observe: build packets and hand out observations."""
-        observations = self._backend.observe(snapshot, round_index)
         self._notify("on_communicate", round_index, observations)
-        return observations
+        return state, observations
 
-    def _phase_activate(
-        self, round_index: int
-    ) -> Tuple[Activation, FrozenSet[int]]:
-        """Ask the scheduler who wakes this step; validate the answer."""
-        return self._backend.activate(round_index)
+    def step(
+        self, state: RoundState, snapshot, round_index: int
+    ) -> Tuple[RoundState, StepOutcome]:
+        """Advance ``state`` by one round on ``snapshot``.
 
-    def _phase_compute(
-        self, snapshot, round_index: int, observations, active: FrozenSet[int]
-    ) -> Dict[int, Decision]:
-        """Collect the decisions of all activated robots before applying
-        any (decisions within a step are simultaneous)."""
-        decisions = self._backend.compute(
-            snapshot, round_index, observations, active
+        Communicate, activate, compute, the round's after-Compute crashes,
+        move and settle; ``on_communicate`` and ``on_compute`` fire
+        inside.  ``state`` itself is left as it was.
+        """
+        backend = self._backend
+        self._algorithm.on_round_start(round_index)
+        state, observations = self._communicate(state, snapshot, round_index)
+
+        # Activate: the scheduler model picks who wakes this step
+        # (everyone under FSYNC; inactive robots implicitly stay but
+        # remain physically present in everyone's packets).  Compute
+        # collects every decision before any is applied.
+        activation, active = backend.activate(state, round_index)
+        decisions = backend.compute(
+            state, snapshot, round_index, observations, active
         )
         self._notify("on_compute", round_index, decisions)
-        return decisions
 
-    def _phase_move(
-        self,
-        snapshot,
-        round_index: int,
-        decisions: Dict[int, Decision],
-        activation: Activation,
-        new_entry_ports: Dict[int, int],
-    ) -> list:
-        """Apply surviving moves; queue delayed ones as pending."""
-        return self._backend.move(
-            snapshot, round_index, decisions, activation, new_entry_ports
+        # Move: simultaneous application (robots crashed now vanish
+        # holding their marching orders), then settle earlier pending
+        # moves that arrive now.
+        state, crashed_after = self._apply_crashes(
+            state, round_index, CrashPhase.AFTER_COMPUTE
         )
-
-    def _phase_settle(
-        self, round_index: int, new_entry_ports: Dict[int, int]
-    ) -> list:
-        """Apply pending moves whose arrival step has come."""
-        return self._backend.settle(round_index, new_entry_ports)
-
-    # ------------------------------------------------------------------
-    # Main loop
-    # ------------------------------------------------------------------
+        state, moved = backend.move(
+            state, snapshot, round_index, decisions, activation
+        )
+        state, arrived = backend.settle(state, round_index)
+        nodes = state.positions.values()
+        if not state.ever_occupied.issuperset(nodes):
+            state = replace(
+                state, ever_occupied=state.ever_occupied.union(nodes)
+            )
+        return state, StepOutcome(
+            tuple(sorted(moved + arrived)), crashed_after, activation, active
+        )
 
     def run(self) -> RunResult:
         """Execute rounds until dispersion, crash-out, or the round cap."""
         self._algorithm.on_run_start(self._k, self._n)
         self._notify("on_run_start", self._k, self._n)
+        byzantine = self._byzantine
 
-        if self._is_dispersed():
+        if self._state.is_dispersed(byzantine):
             return self._result(
                 TerminationReason.ALREADY_DISPERSED,
                 rounds=0,
                 total_moves=0,
-                max_bits=self._audit_memory(),
+                max_bits=self._backend.audit_memory(self._state),
                 detected=True,
             )
 
         total_moves = 0
         max_bits = 0
         round_index = 0
-        detected = False
-        self._packets_broadcast = 0
-        self._packet_deliveries = 0
+        self._state = replace(
+            self._state, packets_broadcast=0, packet_deliveries=0
+        )
 
         while round_index < self._max_rounds:
+            state = self._state
             # Adversary chooses G_r knowing the configuration so far.
             context = RoundContext(
                 round_index=round_index,
-                positions=dict(self._positions),
-                ever_occupied=frozenset(self._ever_occupied),
+                positions=dict(state.positions),
+                ever_occupied=state.ever_occupied,
             )
             snapshot = self._dynamic_graph.snapshot(round_index, context)
             # Snapshots are immutable, so validation is a pure function of
@@ -407,10 +480,11 @@ class SimulationEngine:
                 self._validated_snapshot = snapshot
             self._notify("on_round_start", round_index, snapshot)
 
-            crashed_before = self._apply_crashes(
-                round_index, CrashPhase.BEFORE_COMMUNICATE
+            state, crashed_before = self._apply_crashes(
+                state, round_index, CrashPhase.BEFORE_COMMUNICATE
             )
-            if not self._positions:
+            self._state = state
+            if not state.positions:
                 return self._result(
                     TerminationReason.ALL_CRASHED,
                     rounds=round_index,
@@ -419,14 +493,13 @@ class SimulationEngine:
                     detected=False,
                 )
 
-            positions_before = dict(self._positions)
-            occupied_before = frozenset(self._positions.values())
-
-            if self._is_dispersed() and not self._pending_moves:
-                observations = self._phase_observe(snapshot, round_index)
+            if state.is_dispersed(byzantine) and not state.pending_moves:
+                self._state, observations = self._communicate(
+                    state, snapshot, round_index
+                )
                 detected = all(
                     self._algorithm.detects_termination(observations[rid])
-                    for rid in self._honest_positions()
+                    for rid in state.honest_positions(byzantine)
                 )
                 return self._result(
                     TerminationReason.DISPERSED,
@@ -436,56 +509,31 @@ class SimulationEngine:
                     detected=detected,
                 )
 
-            # Communicate / observe.
-            self._algorithm.on_round_start(round_index)
-            observations = self._phase_observe(snapshot, round_index)
-
-            # Activate: the scheduler model picks who wakes this step
-            # (everyone under FSYNC; inactive robots implicitly stay but
-            # remain physically present in everyone's packets).
-            activation, active = self._phase_activate(round_index)
-
-            # Compute.
-            decisions = self._phase_compute(
-                snapshot, round_index, observations, active
-            )
-
-            crashed_after = self._apply_crashes(
-                round_index, CrashPhase.AFTER_COMPUTE
-            )
-
-            # Move: simultaneous application (crashed robots' moves are
-            # discarded; they vanished holding their marching orders),
-            # then settle any earlier pending moves that arrive now.
-            new_entry_ports: Dict[int, int] = {}
-            moved = self._phase_move(
-                snapshot, round_index, decisions, activation, new_entry_ports
-            )
-            moved += self._phase_settle(round_index, new_entry_ports)
-            self._entry_ports = new_entry_ports
-            total_moves += len(moved)
-            self._ever_occupied.update(self._positions.values())
-            moved_tuple = tuple(sorted(moved))
+            after, outcome = self.step(state, snapshot, round_index)
+            self._state = after
+            total_moves += len(outcome.moved)
             self._notify(
-                "on_move", round_index, moved_tuple, dict(self._positions)
+                "on_move", round_index, outcome.moved, dict(after.positions)
             )
 
-            round_bits = self._audit_memory()
+            round_bits = self._backend.audit_memory(after)
             max_bits = max(max_bits, round_bits)
 
+            activation = outcome.activation
             timeline = not self._scheduler.is_fully_synchronous
             if timeline:
                 self._last_epoch = activation.epoch
             if self._observers:
+                occupied_before = frozenset(state.positions.values())
                 record = RoundRecord(
                     round_index=round_index,
-                    positions_before=positions_before,
-                    positions_after=dict(self._positions),
-                    moved_robots=moved_tuple,
+                    positions_before=state.positions,
+                    positions_after=dict(after.positions),
+                    moved_robots=outcome.moved,
                     crashed_before_communicate=crashed_before,
-                    crashed_after_compute=crashed_after,
+                    crashed_after_compute=outcome.crashed_after_compute,
                     occupied_before=occupied_before,
-                    occupied_after=frozenset(self._positions.values()),
+                    occupied_after=frozenset(after.positions.values()),
                     num_components=self._backend.count_occupied_components(
                         snapshot, occupied_before
                     ),
@@ -495,7 +543,7 @@ class SimulationEngine:
                     ),
                     epoch=activation.epoch if timeline else None,
                     activated_robots=(
-                        tuple(sorted(active)) if timeline else None
+                        tuple(sorted(outcome.active)) if timeline else None
                     ),
                 )
                 self._notify("on_round_end", record)
@@ -503,7 +551,8 @@ class SimulationEngine:
 
         reason = (
             TerminationReason.DISPERSED
-            if self._is_dispersed() and not self._pending_moves
+            if self._state.is_dispersed(byzantine)
+            and not self._state.pending_moves
             else TerminationReason.ROUND_LIMIT
         )
         return self._result(
@@ -524,18 +573,19 @@ class SimulationEngine:
         detected: bool,
     ) -> RunResult:
         records = self._trace.records if self._trace is not None else []
+        state = self._state
         result = RunResult(
             reason=reason,
             rounds=rounds,
             k=self._k,
             n=self._n,
             initial_occupied=self._initial_occupied,
-            final_positions=dict(self._positions),
-            crashed_robots=tuple(sorted(self._crashed)),
+            final_positions=dict(state.positions),
+            crashed_robots=tuple(sorted(state.crashed)),
             byzantine_robots=tuple(sorted(self._byzantine)),
             total_moves=total_moves,
-            total_packets_broadcast=self._packets_broadcast,
-            total_packet_deliveries=self._packet_deliveries,
+            total_packets_broadcast=state.packets_broadcast,
+            total_packet_deliveries=state.packet_deliveries,
             max_persistent_bits=max_bits,
             records=records,
             algorithm_detected_termination=detected,

@@ -5,8 +5,10 @@ a stable, importable public surface; these tests enforce both so the
 guarantees do not rot.
 """
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -169,3 +171,34 @@ def test_package_all_is_importable():
 
 def test_version_present():
     assert repro.__version__
+
+
+def _attribute_owner(node):
+    """The name an attribute is taken off: ``engine`` in ``engine._x``
+    and ``self.engine._x``, ``None`` for anything else."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def test_engine_private_state_stays_inside_the_engine():
+    """Backends and everything else read the engine through its public
+    properties and the state they are handed, never ``engine._*``."""
+    root = pathlib.Path(repro.__file__).resolve().parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root).as_posix()
+        if relative == "sim/engine.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=relative)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and _attribute_owner(node.value) in ("engine", "_engine")
+            ):
+                offenders.append(f"{relative}:{node.lineno}: {node.attr}")
+    assert not offenders, offenders
+

@@ -15,6 +15,9 @@ construction count pins that runs outside the array path build no
 arrays at all.
 """
 
+import copy
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core.dispersion import DispersionDynamic
+from repro.graph.dynamic import StaticDynamicGraph
 from repro.graph.generators import FAMILY_BUILDERS
 from repro.sim import backend_vectorized
 from repro.sim.backend import EngineBackend, ReferenceBackend
@@ -30,6 +34,8 @@ from repro.sim.backend_vectorized import (
     label_occupied_components,
     snapshot_to_csr,
 )
+from repro.sim.engine import RoundState, SimulationEngine
+from repro.sim.hooks import LiveInvariantChecker
 from repro.sim.spec import (
     ComponentSpec,
     CrashSpec,
@@ -38,6 +44,7 @@ from repro.sim.spec import (
     SpecError,
     build_algorithm,
     build_backend,
+    build_engine,
     execute,
     registered_components,
     spec_digest,
@@ -347,7 +354,12 @@ class TestTheorem4Generated:
     @given(theorem4_specs())
     @settings(max_examples=400, deadline=None, derandomize=True)
     def test_disperses_within_k_minus_initial_occupied(self, spec):
-        reference, vectorized = both_backends(spec)
+        # Lemma 7 (an occupied node is never vacated and every round
+        # occupies a new one) checked live on the reference run; Lemma 8
+        # (the ID is the only persistent state: ceil(log2(k+1)) bits).
+        checker = LiveInvariantChecker()
+        reference = build_engine(spec, observers=[checker]).run()
+        vectorized = execute(spec.with_(backend=VECTORIZED))
         assert run_fingerprint(reference) == run_fingerprint(vectorized), (
             spec.to_json()
         )
@@ -355,6 +367,10 @@ class TestTheorem4Generated:
         assert (
             reference.rounds <= spec.placement.k - reference.initial_occupied
         ), spec.to_json()
+        assert checker.clean, (checker.violations, spec.to_json())
+        assert reference.max_persistent_bits == spec.placement.k.bit_length(), (
+            spec.to_json()
+        )
 
 
 # ----------------------------------------------------------------------
@@ -498,6 +514,44 @@ class TestSpecBackendField:
             build_backend(ComponentSpec("warp_drive"))
 
 
+class TestStepIsPure:
+    """``SimulationEngine.step`` maps a state to the next one."""
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_same_state_same_step_input_untouched(self, backend):
+        snapshot = FAMILY_BUILDERS["random_dense"](9, random.Random(4))
+        # Robot 5 is in transit and arrives this round (settle); robot
+        # 6 crashed earlier; robot 4 entered node 1 through port 2.
+        state = RoundState(
+            positions={4: 1, 1: 0, 2: 0, 3: 0, 5: 1},
+            entry_ports={4: 2},
+            pending_moves={5: (0, 2, 1)},
+            crashed=frozenset({6}),
+            ever_occupied=frozenset({0, 1}),
+            packets_broadcast=4,
+            packet_deliveries=9,
+        )
+        before = copy.deepcopy(state)
+        engine = SimulationEngine(
+            StaticDynamicGraph(snapshot),
+            {robot: 0 for robot in range(1, 7)},
+            DispersionDynamic(),
+            backend=build_backend(ComponentSpec(backend)),
+        )
+        first = engine.step(state, snapshot, 0)
+        second = engine.step(state, snapshot, 0)
+        assert first == second
+        assert state == before
+        assert list(state.positions.items()) == list(before.positions.items())
+        after, outcome = first
+        assert 5 in outcome.moved and after.positions[5] == 2
+        assert after.positions != state.positions
+        assert list(after.positions) == list(state.positions)
+        # One packet per occupied node (0 and 1), delivered to all 5.
+        assert after.packets_broadcast == 4 + 2
+        assert after.packet_deliveries == 9 + 2 * 5
+
+
 class TestBackendApi:
     def test_engine_backend_is_abstract(self):
         with pytest.raises(TypeError):
@@ -537,9 +591,9 @@ class TestBackendApi:
         class ProbeBackend(ReferenceBackend):
             name = "probe"
 
-            def observe(self, snapshot, round_index):
+            def observe(self, state, snapshot, round_index):
                 calls.append(round_index)
-                return super().observe(snapshot, round_index)
+                return super().observe(state, snapshot, round_index)
 
         repro.register_backend(
             "probe_for_test", lambda params: ProbeBackend()

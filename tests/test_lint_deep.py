@@ -875,6 +875,8 @@ class TestWholeProgramCli:
 
         import repro.lint.deep.analysis as analysis
         import repro.lint.rules as rules
+        from repro.lint.deep.modindex import FunctionInfo
+        from repro.lint.registryrules import RegistrationSites
 
         stages = (
             "build_index",
@@ -935,6 +937,21 @@ class TestWholeProgramCli:
             own_walks[root] += 1
             return real_own(root)
 
+        registry_walks = collections.Counter()
+        import_tables = collections.Counter()
+        real_sites = RegistrationSites.__init__
+        real_imports = FunctionInfo.local_imports.func
+
+        def collect_sites(self, context):
+            registry_walks[context.path] += 1
+            real_sites(self, context)
+
+        def local_imports(function):
+            import_tables[function.node] += 1
+            return real_imports(function)
+
+        monkeypatch.setattr(RegistrationSites, "__init__", collect_sites)
+        monkeypatch.setattr(FunctionInfo.local_imports, "func", local_imports)
         monkeypatch.setattr(pathlib.Path, "read_text", read_text)
         monkeypatch.setattr(ast, "parse", parse)
         monkeypatch.setattr(tokenize, "generate_tokens", generate_tokens)
@@ -968,6 +985,10 @@ class TestWholeProgramCli:
             function.node for function in functions
         )
         assert len(own_walks) == 6
+        # R001-R003 share one registration-site collection per module,
+        # and the call graph one import table per callable.
+        assert sorted(registry_walks.values()) == [1] * len(modules)
+        assert import_tables == own_walks
 
     def test_broken_module_is_one_p001_across_tiers(self, tmp_path, capsys):
         build(tmp_path, {"pkg/ok.py": "x = 1\n", "pkg/bad.py": "def f(:\n"})

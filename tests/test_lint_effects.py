@@ -352,7 +352,7 @@ def backend_module(body):
 BAD_BACKEND = {
     "pkg/backend.py": backend_module("""
         class BadBackend(EngineBackend):
-            def observe(self, snapshot, round_index):
+            def observe(self, state, snapshot, round_index):
                 engine = self.engine
                 engine._positions[0] = 3
         """),
@@ -366,7 +366,7 @@ class TestPhaseContracts:
             {
                 "pkg/backend.py": backend_module("""
                     class BadBackend(EngineBackend):
-                        def observe(self, snapshot, round_index):
+                        def observe(self, state, snapshot, round_index):
                             engine = self.engine
                             engine._positions[0] = 3
                             return {}
@@ -379,7 +379,36 @@ class TestPhaseContracts:
         finding = findings[0][0]
         assert finding.code == "E001"
         assert "`observe` mutates engine state `_positions`" in finding.message
-        assert "_packets_broadcast" in finding.message  # the allowlist
+        assert "(allowed: none)" in finding.message
+
+    def test_e001_state_each_phase_no_longer_owns(self, tmp_path):
+        # observe used to charge the packet counters and move/settle to
+        # write positions; the engine owns all of that now.
+        findings = contract_findings(
+            tmp_path,
+            {
+                "pkg/backend.py": backend_module("""
+                    class OldBackend(EngineBackend):
+                        def observe(self, state, snapshot, round_index):
+                            engine = self.engine
+                            engine._packets_broadcast += 1
+                            return {}
+
+                        def move(self, state, snapshot, round_index,
+                                 decisions, activation):
+                            engine = self.engine
+                            engine._positions[0] = 1
+
+                        def settle(self, state, round_index):
+                            self.engine.algorithm.memory.clear()
+                    """),
+            },
+        )
+        assert sorted(fp for _, fp in findings) == [
+            "E001|pkg.backend.OldBackend.move|_positions",
+            "E001|pkg.backend.OldBackend.observe|_packets_broadcast",
+            "E001|pkg.backend.OldBackend.settle|algorithm",
+        ]
 
     def test_e001_transitive_through_helper(self, tmp_path):
         findings = contract_findings(
@@ -390,8 +419,8 @@ class TestPhaseContracts:
                         engine._entry_ports.clear()
 
                     class SneakyBackend(EngineBackend):
-                        def move(self, snapshot, round_index, decisions,
-                                 activation, new_entry_ports):
+                        def move(self, state, snapshot, round_index,
+                                 decisions, activation):
                             scramble(self.engine)
                     """),
             },
@@ -410,22 +439,51 @@ class TestPhaseContracts:
             tmp_path,
             {
                 "pkg/backend.py": backend_module("""
+                    from dataclasses import replace
+
                     class FineBackend(EngineBackend):
-                        def observe(self, snapshot, round_index):
-                            engine = self.engine
-                            engine._packets_broadcast += 1
+                        def observe(self, state, snapshot, round_index):
                             self._scratch = {}
                             return {}
 
-                        def move(self, snapshot, round_index, decisions,
-                                 activation, new_entry_ports):
+                        def activate(self, state, round_index):
+                            self.engine.scheduler.queue.append(round_index)
+
+                        def compute(self, state, snapshot, round_index,
+                                    observations, active):
                             engine = self.engine
-                            engine._positions[0] = 1
-                            new_entry_ports[0] = 2
+                            engine.algorithm.memory[0] = 1
+                            return {}
+
+                        def move(self, state, snapshot, round_index,
+                                 decisions, activation):
+                            positions = dict(state.positions)
+                            positions[0] = 1
+                            return replace(state, positions=positions), [0]
                     """),
             },
         )
         assert findings == []
+
+    def test_e002_move_writes_its_state(self, tmp_path):
+        findings = contract_findings(
+            tmp_path,
+            {
+                "pkg/backend.py": backend_module("""
+                    class InPlaceBackend(EngineBackend):
+                        def move(self, state, snapshot, round_index,
+                                 decisions, activation):
+                            state.positions[0] = 1
+                            return state, [0]
+                    """),
+            },
+        )
+        assert [fp for _, fp in findings] == [
+            "E002|pkg.backend.InPlaceBackend.move|state"
+        ]
+        assert "`move` mutates its `state` payload parameter" in (
+            findings[0][0].message
+        )
 
     def test_e002_phase_mutates_payload(self, tmp_path):
         findings = contract_findings(
@@ -453,7 +511,7 @@ class TestPhaseContracts:
             {
                 "pkg/backend.py": backend_module("""
                     class ChattyBackend(EngineBackend):
-                        def settle(self, round_index, new_entry_ports):
+                        def settle(self, state, round_index):
                             print(round_index)
                     """),
             },
@@ -470,7 +528,7 @@ class TestPhaseContracts:
             {
                 "pkg/exotic.py": """
                     class FancyBackend:
-                        def observe(self, snapshot, round_index):
+                        def observe(self, state, snapshot, round_index):
                             engine = self.engine
                             engine._positions.clear()
                     """,
@@ -486,7 +544,7 @@ class TestPhaseContracts:
             {
                 "pkg/other.py": """
                     class Collector:
-                        def observe(self, snapshot, round_index):
+                        def observe(self, state, snapshot, round_index):
                             engine = self.engine
                             engine._positions.clear()
                     """,
@@ -942,12 +1000,14 @@ class TestSelfCheck:
     def test_repo_phase_mutations_are_visible_to_the_analysis(
         self, repo_lint
     ):
-        # Guard against a vacuously clean self-check: the reference
-        # backend's allowed mutations must actually be in the summaries.
+        # Guard against a vacuously clean self-check: the phase bodies
+        # are summarized (the vectorized observe's write to its own
+        # per-round arrays is visible), and the reference move's fresh
+        # copies are not mistaken for writes to the state it is handed.
         summaries = repo_lint.summaries
-        observe = summaries["repro.sim.backend.ReferenceBackend.observe"]
-        assert ("mut", 0, ("engine", "_packets_broadcast")) in (
-            observe.effects
-        )
+        observe = summaries[
+            "repro.sim.backend_vectorized.VectorizedBackend.observe"
+        ]
+        assert ("mut", 0, ("_round",)) in observe.effects
         move = summaries["repro.sim.backend.ReferenceBackend.move"]
-        assert ("mut", 0, ("engine", "_positions")) in move.effects
+        assert not list(move.mutated_params())
