@@ -29,10 +29,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.graph.dynamic import DynamicGraph, RoundContext
 from repro.graph.snapshot import GraphSnapshot
 from repro.sim.algorithm import MoveDecision, RobotAlgorithm, probe_decisions
-from repro.sim.observation import (
-    CommunicationModel,
-    build_observations,
-)
+from repro.sim.observation import CommunicationModel, build_info_packets
 
 
 def unused_clique_edge_exists(k: int) -> bool:
@@ -146,7 +143,7 @@ class CliqueRewiringAdversary(DynamicGraph):
         # Soundness check: without 1-NK the robots' observations must be
         # identical on the probe graph and the emitted graph.
         self._assert_observation_equivalence(
-            probe_graph, rewired, context.positions, round_index
+            probe_graph, rewired, context.positions
         )
         return rewired
 
@@ -202,22 +199,18 @@ class CliqueRewiringAdversary(DynamicGraph):
         probe_graph: GraphSnapshot,
         emitted: GraphSnapshot,
         positions: Dict[int, int],
-        round_index: int,
     ) -> None:
-        obs_probe = build_observations(
-            probe_graph, positions, round_index,
-            communication=CommunicationModel.GLOBAL,
-            neighborhood_knowledge=False,
+        """Without 1-NK a robot observes its own node's packet and the set
+        of all packets, so every robot's observation agrees on the two
+        graphs exactly when their packet maps are equal."""
+        packets_probe = build_info_packets(
+            probe_graph, positions, neighborhood_knowledge=False
         )
-        obs_emitted = build_observations(
-            emitted, positions, round_index,
-            communication=CommunicationModel.GLOBAL,
-            neighborhood_knowledge=False,
+        packets_emitted = build_info_packets(
+            emitted, positions, neighborhood_knowledge=False
         )
-        for robot_id in positions:
-            a, b = obs_probe[robot_id], obs_emitted[robot_id]
-            if (a.own_packet, a.packets) != (b.own_packet, b.packets):
-                raise AssertionError(
-                    "rewiring changed a no-1-NK observation; the Theorem 2 "
-                    "construction is broken"
-                )
+        if packets_probe != packets_emitted:
+            raise AssertionError(
+                "rewiring changed a no-1-NK observation; the Theorem 2 "
+                "construction is broken"
+            )

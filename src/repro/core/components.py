@@ -30,9 +30,13 @@ class ComponentConstructionError(ValueError):
     """The packet set is inconsistent (impossible in a correct run)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ComponentNodeInfo:
-    """What the component records about one of its (occupied) nodes."""
+    """What the component records about one of its (occupied) nodes.
+
+    Built once per packet per component per round, so it has the explicit
+    ``__init__`` of the packet types (see :mod:`repro.sim.observation`).
+    """
 
     representative_id: int
     robot_ids: Tuple[int, ...]
@@ -41,6 +45,20 @@ class ComponentNodeInfo:
 
     occupied_ports: Tuple[int, ...]
     """Ports of this node leading to occupied neighbors."""
+
+    def __init__(
+        self,
+        representative_id: int,
+        robot_ids: Tuple[int, ...],
+        degree: int,
+        occupied_ports: Tuple[int, ...],
+    ) -> None:
+        self.__dict__.update(
+            representative_id=representative_id,
+            robot_ids=robot_ids,
+            degree=degree,
+            occupied_ports=occupied_ports,
+        )
 
     @property
     def robot_count(self) -> int:
@@ -79,6 +97,11 @@ class ComponentGraph:
     the node represented by ``u`` reaches the node represented by ``v``
     through ``port``.  Both directions are stored, so the port of the
     reverse direction is ``port_between(v, u)``.
+
+    The constructor copies its arguments.  Algorithm 1 builds maps for one
+    component alone and hands them over through :meth:`_adopt` instead;
+    Algorithms 2 and 3 (same package) read ``_nodes`` and ``_adjacency``
+    directly, where the public queries would copy or sort.
     """
 
     def __init__(
@@ -96,6 +119,24 @@ class ComponentGraph:
             rep: {nbr: port for port, nbr in ports.items()}
             for rep, ports in self._adjacency.items()
         }
+
+    @classmethod
+    def _adopt(
+        cls,
+        nodes: Dict[int, ComponentNodeInfo],
+        adjacency: Dict[int, Dict[int, int]],
+        reverse: Dict[int, Dict[int, int]],
+    ) -> "ComponentGraph":
+        """Take ownership of maps nobody else holds, without copying.
+
+        ``adjacency`` and ``reverse`` must have an entry for every node,
+        and ``reverse[u]`` must be ``{v: port}`` of ``adjacency[u]``.
+        """
+        component = cls.__new__(cls)
+        component._nodes = nodes
+        component._adjacency = adjacency
+        component._reverse = reverse
+        return component
 
     # -- queries --------------------------------------------------------
 
@@ -181,15 +222,6 @@ def _packet_index(packets: Iterable[InfoPacket]) -> Dict[int, InfoPacket]:
     return index
 
 
-def _node_info(packet: InfoPacket) -> ComponentNodeInfo:
-    return ComponentNodeInfo(
-        representative_id=packet.representative_id,
-        robot_ids=packet.robot_ids,
-        degree=packet.degree,
-        occupied_ports=packet.occupied_ports,
-    )
-
-
 def build_component(
     packets: Iterable[InfoPacket],
     own_representative: int,
@@ -231,6 +263,7 @@ def _build_from_index(
 
     nodes: Dict[int, ComponentNodeInfo] = {}
     adjacency: Dict[int, Dict[int, int]] = {}
+    reverse: Dict[int, Dict[int, int]] = {}
     # Every representative ever queued: each is pushed once, so the heap
     # pops exactly the order of repeatedly taking min(to_process).
     seen: Set[int] = {own_representative}
@@ -246,36 +279,49 @@ def _build_from_index(
                 f"component references representative {rep} but no packet "
                 "from it was received; packets are inconsistent"
             )
-        nodes[rep] = _node_info(packet)
         ports: Dict[int, int] = {}
+        back: Dict[int, int] = {}
+        occupied: List[int] = []
         for info in packet.occupied_neighbors:
+            port = info.port
             neighbor = info.representative_id
-            ports[info.port] = neighbor
+            ports[port] = neighbor
+            back[neighbor] = port
+            occupied.append(port)
             if neighbor not in seen:
                 seen.add(neighbor)
                 heapq.heappush(to_process, neighbor)
+        if len(ports) != len(occupied):
+            # A forged packet repeats a port: only the port's last
+            # neighbor is an edge, so invert the final map instead.
+            back = {neighbor: port for port, neighbor in ports.items()}
+        nodes[rep] = ComponentNodeInfo(
+            rep, packet.robot_ids, packet.degree, tuple(occupied)
+        )
         adjacency[rep] = ports
+        reverse[rep] = back
 
-    _check_symmetry(nodes, adjacency)
-    return ComponentGraph(nodes, adjacency)
+    _check_symmetry(adjacency, reverse)
+    return ComponentGraph._adopt(nodes, adjacency, reverse)
 
 
 def _check_symmetry(
-    nodes: Mapping[int, ComponentNodeInfo],
     adjacency: Mapping[int, Mapping[int, int]],
+    reverse: Mapping[int, Mapping[int, int]],
 ) -> None:
     """Every edge stays inside the component and has a reverse direction.
 
-    O(E): one neighbor set per node, then one membership test per edge.
+    O(E): ``reverse`` has an entry for exactly the component's nodes, and
+    ``reverse[v]`` holds every node ``v`` has an edge to.
     """
-    neighbor_sets = {u: set(ports.values()) for u, ports in adjacency.items()}
     for u, ports in adjacency.items():
         for v in ports.values():
-            if v not in nodes:
+            back = reverse.get(v)
+            if back is None:
                 raise ComponentConstructionError(
                     f"edge {u}->{v} leaves the component"
                 )
-            if u not in neighbor_sets[v]:
+            if u not in back:
                 raise ComponentConstructionError(
                     f"edge {u}->{v} has no reverse direction; packets are "
                     "inconsistent"
@@ -301,7 +347,7 @@ def partition_into_components(
         if seed in covered:
             continue
         component = _build_from_index(index, seed, None)
-        members = component.representatives
+        members = component._nodes.keys()
         if not covered.isdisjoint(members):
             raise ComponentConstructionError(
                 "components overlap; packets are inconsistent"

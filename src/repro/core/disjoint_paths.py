@@ -82,8 +82,9 @@ def leaf_node_set(
     Note "leaf" refers to having an empty graph neighbor, not to being a
     leaf of the tree.  O(size log size) for the sort.
     """
+    nodes = component._nodes
     return sorted(
-        rep for rep in tree.nodes if component.node(rep).has_empty_neighbor
+        rep for rep in tree.parent if nodes[rep].has_empty_neighbor
     )
 
 

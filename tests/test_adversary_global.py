@@ -1,5 +1,7 @@
 """Tests for the Theorem 2 clique-rewiring adversary (global, no 1-NK)."""
 
+import random
+
 import pytest
 
 from repro.adversary.global_impossibility import (
@@ -63,6 +65,28 @@ class TestRewiring:
         snap = adversary.snapshot(0, ctx)
         for node in set(positions.values()):
             assert snap.degree(node) == (k - 1) - 1
+
+    def test_degree_changing_rewiring_raises(self, monkeypatch):
+        """The soundness check catches a rewiring that one occupied node
+        can see: here its degree grows by the one edge into H."""
+        k, n = 8, 14
+        algorithm = GLOBAL_NO1NK_CANDIDATES[0]()
+        adversary = CliqueRewiringAdversary(n, algorithm, seed=1)
+        positions = theorem2_positions(k)
+        occupied = sorted(set(positions.values()))
+        empty = [v for v in range(n) if v not in occupied]
+
+        def visible_rewire(snapshot, removed, added_u, added_v):
+            rng = random.Random(0)
+            return adversary._clique_plus_h(occupied, empty, rng, connect=True)
+
+        monkeypatch.setattr(adversary, "_rewire", visible_rewire)
+        with pytest.raises(
+            AssertionError,
+            match="rewiring changed a no-1-NK observation; the Theorem 2 "
+            "construction is broken",
+        ):
+            adversary.snapshot(0, RoundContext(0, positions=positions))
 
     def test_degenerate_config_falls_back(self):
         algorithm = GLOBAL_NO1NK_CANDIDATES[0]()

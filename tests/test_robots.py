@@ -1,5 +1,6 @@
 """Tests for robot identities, placements, memory accounting, and faults."""
 
+import math
 import random
 
 import pytest
@@ -110,6 +111,29 @@ class TestMemoryAccounting:
     def test_unbounded_int_uses_bit_length(self):
         assert bits_for_value(255) == 8
         assert bits_for_value(-4) == 4  # sign bit charged
+
+    def test_bounded_width_is_exact(self):
+        """The charged width is ceil(log2(bound + 1)), at least 1: the
+        float formula on every bound it gets right, and the exact width
+        where a double can no longer hold ``bound + 1``."""
+        for bound in range(5001):
+            want = max(1, math.ceil(math.log2(bound + 1)))
+            assert bits_for_value(0, bound=bound) == want
+            assert bits_for_value(bound, bound=bound) == want
+            assert bits_for_value(None, bound=bound) == want
+        for power in (53, 60):
+            bound = 2**power
+            assert 2 ** (power + 1) > bound + 1 > 2**power
+            assert bits_for_value(bound, bound=bound) == power + 1
+            assert bits_for_value(None, bound=bound - 1) == power
+
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ValueError):
+            bits_for_value(None, bound=-1)
+        with pytest.raises(ValueError):
+            bits_for_value(-5, bound=-1)
+        with pytest.raises(ValueError):
+            bits_for_state({"id": -3}, bounds={"id": -2})
 
     def test_none_without_bound_is_free(self):
         assert bits_for_value(None) == 0
