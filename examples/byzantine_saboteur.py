@@ -78,7 +78,7 @@ def main() -> None:
     print("\n   with the liar gone the truth is visible again and the "
           "honest fleet\n   disperses within k - 1 rounds of the crash -- "
           "the damage was entirely\n   in the forged packets "
-          "(see benchmarks/bench_extension_byzantine.py).")
+          "(see experiment E7 in EXPERIMENTS.md).")
 
 
 if __name__ == "__main__":

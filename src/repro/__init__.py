@@ -15,8 +15,8 @@ The package implements the paper end to end:
   (:mod:`repro.adversary`);
 * baseline algorithms from the static-graph literature for contrast
   (:mod:`repro.baselines`);
-* experiment harnesses regenerating every table and figure of the paper
-  (:mod:`repro.analysis`, plus the ``benchmarks/`` tree of the repo).
+* the reproduction campaign regenerating every table and figure of the
+  paper, one pass/fail section each (:mod:`repro.analysis.campaign`).
 
 Quickstart (declarative)::
 

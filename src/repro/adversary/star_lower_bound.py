@@ -8,7 +8,7 @@ yet the only empty node adjacent to any occupied node is the center of
 ``T_{B_r}`` -- so no algorithm can newly occupy more than one node per
 round, and dispersion from a rooted configuration of ``k`` robots takes at
 least ``k - 1`` rounds.  Against the paper's algorithm the bound is met
-exactly (one new node per round), which is how the benchmarks demonstrate
+exactly (one new node per round), which is how the campaign demonstrates
 the tightness of Theta(k).
 
 Port labels are freshly randomized every round from the adversary's seed

@@ -1,10 +1,11 @@
 """Experiment harnesses, bound checks, ablations, and report tables.
 
-This package is the glue between the library and the ``benchmarks/`` tree:
+This package holds the reproduction campaign (:mod:`repro.analysis.campaign`,
+one pass/fail section per claim of the paper) and what it is built from:
 it runs parameter sweeps (rounds vs. k, faults, dynamism levels), fits and
 checks the paper's bounds (O(k) rounds, Theta(log k) bits), reconstructs
 the Figure 3/4 worked example, and renders aligned text tables so every
-benchmark prints the same kind of rows the paper reports.
+section prints the same kind of rows the paper reports.
 """
 
 from repro.analysis.experiments import (

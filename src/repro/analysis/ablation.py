@@ -1,8 +1,8 @@
-"""Ablated variants of Algorithm 4 for the design-choice benchmarks.
+"""Ablated variants of Algorithm 4 for the design-choice experiment (E3).
 
 DESIGN.md calls out three load-bearing design choices in the paper's
-algorithm; each variant here removes exactly one of them so the ablation
-benchmark can show what breaks:
+algorithm; each variant here removes exactly one of them so the
+campaign's E3 section can show what breaks:
 
 * :class:`NoDisjointnessVariant` -- skips Algorithm 3's disjointness
   filter and slides along *every* root path (conflicts resolved

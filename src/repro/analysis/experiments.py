@@ -1,10 +1,10 @@
 """High-level experiment runners and parameter sweeps.
 
-These helpers standardize how the benchmarks, examples and integration
+These helpers standardize how the campaign, examples and integration
 tests launch runs: one call builds the dynamic graph, the placement, the
 algorithm and the engine, and returns a compact :class:`DispersionOutcome`
-row.  Sweeps aggregate rows over seeds so benchmark output reports
-mean/min/max like the tables of an experimental-systems paper would.
+row.  Sweeps aggregate rows over seeds so reports show mean/min/max like
+the tables of an experimental-systems paper would.
 
 The sweeps are built on the declarative :class:`~repro.sim.spec.RunSpec`
 layer: :func:`rounds_vs_k_specs` / :func:`faults_specs` emit the spec

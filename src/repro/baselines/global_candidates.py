@@ -9,7 +9,7 @@ reveals *which ports lead to empty nodes*, and that is fatal: the
 reroutes exactly the ports nobody uses towards the empty region.
 
 Like the local candidates, these are natural strategies a practitioner
-might try; the benchmark shows each is stalled indefinitely by the
+might try; the campaign shows each is stalled indefinitely by the
 adversary while dispersing fine on easy static instances.
 """
 
@@ -128,4 +128,4 @@ GLOBAL_NO1NK_CANDIDATES = (
     BlindRotor,
     BlindIdSpread,
 )
-"""The candidate classes the Theorem 2 benchmark sweeps."""
+"""The candidate classes the Theorem 2 campaign section sweeps."""

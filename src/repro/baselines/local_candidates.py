@@ -3,7 +3,7 @@
 Theorem 1 says *no* deterministic algorithm solves DISPERSION on dynamic
 graphs in the local communication model, even with 1-neighborhood knowledge
 and unlimited memory.  A universal negative cannot be executed, so the
-benchmark runs a family of natural candidate strategies -- each a
+campaign runs a family of natural candidate strategies -- each a
 reasonable attempt a practitioner might write -- against the
 :class:`~repro.adversary.local_impossibility.LocalStallAdversary` and shows
 that none of them ever reaches dispersion, while each of them *does*
@@ -153,4 +153,4 @@ LOCAL_CANDIDATES = (
     LocalChainShift,
     LocalPseudoRandomPort,
 )
-"""The candidate classes the Theorem 1 benchmark sweeps."""
+"""The candidate classes the Theorem 1 campaign section sweeps."""

@@ -17,7 +17,7 @@ a reproduction of their algorithm):
   rank parity, half walking each way.
 
 On a static or randomly-faulting ring this disperses k <= n robots; the
-point of the accompanying benchmark is the contrast visible on rings:
+point of the campaign's E6 section is the contrast visible on rings:
 
 * against the *blocking* adversary of
   :class:`repro.graph.rings.RingDynamicGraph` the walker is severely

@@ -12,7 +12,7 @@ This subpackage provides:
 * :class:`~repro.graph.snapshot.GraphSnapshot` -- an immutable port-labelled
   snapshot (the graph of one round),
 * :mod:`~repro.graph.generators` -- families of graphs used by the tests,
-  examples, and benchmarks,
+  examples, and the campaign,
 * :mod:`~repro.graph.dynamic` -- dynamic-graph processes (static, scripted,
   random churn, T-interval connected churn),
 * :mod:`~repro.graph.validation` -- structural validation helpers.

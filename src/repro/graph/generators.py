@@ -1,4 +1,4 @@
-"""Generators for the graph families used in tests, examples and benchmarks.
+"""Generators for the graph families used in tests, examples and the campaign.
 
 Every generator returns a :class:`~repro.graph.snapshot.GraphSnapshot`.
 Pass ``rng`` to randomize the port labelling (the anonymous-graph model puts
@@ -6,7 +6,7 @@ no constraint on how a node numbers its ports); omit it for a deterministic
 canonical labelling.
 
 The random families (``random_tree``, ``random_connected_graph``) are the
-stock workloads of the benchmark harness; the structured families (paths,
+stock workloads of the campaign and perfbench; the structured families (paths,
 stars, grids, cliques...) appear in the paper's constructions: Figure 1 uses
 a path glued to an arbitrary connected subgraph, Figure 2 uses two stars
 joined at their centers, and Theorem 2 uses a clique of occupied nodes glued

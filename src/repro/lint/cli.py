@@ -29,7 +29,7 @@ from repro.lint.reporters import (
 
 #: Default scan roots of the shallow rules; the whole-program pass wants
 #: only the package tree (``DEEP_DEFAULT_PATHS``).
-SHALLOW_DEFAULT_PATHS = ["src", "tests", "benchmarks"]
+SHALLOW_DEFAULT_PATHS = ["src", "tests"]
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -38,8 +38,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         "paths",
         nargs="*",
         default=None,
-        help="files or directories to lint (default: src tests "
-        "benchmarks; for the whole-program half of --all: src)",
+        help="files or directories to lint (default: src tests; for "
+        "the whole-program half of --all: src)",
     )
     parser.add_argument(
         "--json",

@@ -45,7 +45,7 @@ from repro.lint.engine import LintReport, Target, is_suppressed
 from repro.lint.findings import Finding
 
 #: Default scan roots for a whole-program run (the analysis wants the
-#: package tree, not tests/benchmarks).
+#: package tree, not the tests).
 DEEP_DEFAULT_PATHS: Tuple[str, ...] = ("src",)
 
 

@@ -24,7 +24,7 @@ Paper invariants (hold for the canonical algorithm in its model):
 
 :func:`verify_run` bundles the applicable checks and returns a list of
 violation strings (empty = clean), so tests can assert emptiness and
-benchmarks can count violations.
+experiments can count violations.
 """
 
 from __future__ import annotations

@@ -30,9 +30,8 @@ order, so downstream analysis can zip specs with results.
 
 :func:`runner_from_jobs` maps a CLI-style ``--jobs N`` value onto a
 backend (``N <= 1`` -> serial), which is how ``repro-dispersion
-sweep/faults/campaign --jobs`` and the ``REPRO_JOBS`` environment knob
-for benchmarks are implemented; its ``store=`` argument layers a
-:class:`~repro.sim.store.CachingRunner` on top.
+sweep/faults/campaign --jobs`` is implemented; its ``store=`` argument
+layers a :class:`~repro.sim.store.CachingRunner` on top.
 """
 
 from __future__ import annotations

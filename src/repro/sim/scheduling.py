@@ -37,7 +37,7 @@ robots still occupy their nodes and appear in everyone's information
 packets (1-NK senses robots, not activity) -- but only active robots
 compute and move.  Under these semantics the paper's Lemma 7 no longer
 holds round-for-round (a sliding path can be executed partially, vacating
-a node), which is exactly the degradation the E5 benchmark measures; with
+a node), which is exactly the degradation the campaign's E5 section measures; with
 random activation every configuration still has positive probability of a
 fully-active round, so dispersion remains achieved with probability 1.
 See ``docs/scheduling.md`` for the full model definitions.

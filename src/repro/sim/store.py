@@ -4,9 +4,9 @@ A :class:`RunStore` keys :class:`~repro.sim.metrics.RunResult` records by
 :func:`~repro.sim.spec.spec_digest` -- a sha256 of the spec's canonical
 JSON mixed with a code-version salt -- and persists them on disk, one
 JSON document per digest.  Because specs are pure data and execution is
-deterministic, a stored result *is* the run: sweeps, campaigns and
-benchmarks that route their grids through a store recompute a spec at
-most once per code revision, across process boundaries and across
+deterministic, a stored result *is* the run: sweeps and campaigns that
+route their grids through a store recompute a spec at most once per
+code revision, across process boundaries and across
 invocations.  An interrupted campaign that stored half its runs resumes
 by recomputing only the other half.
 

@@ -122,6 +122,21 @@ class TestStallAdversary:
         ).run()
         assert result.dispersed
 
+    @pytest.mark.parametrize("k", [6, 8, 10, 12])
+    def test_stall_across_sizes(self, k):
+        """The construction needs only k >= 5: the stall holds as k grows."""
+        instance = build_fig1_instance(k, k + 3)
+        algorithm = LOCAL_CANDIDATES[1]()
+        adversary = LocalStallAdversary(k + 3, algorithm, seed=k)
+        result = SimulationEngine(
+            adversary,
+            instance.positions,
+            algorithm,
+            communication=CommunicationModel.LOCAL,
+            max_rounds=120,
+        ).run()
+        assert not result.dispersed
+
     def test_occupied_count_never_reaches_k(self):
         instance = build_fig1_instance(6, 9)
         algorithm = LOCAL_CANDIDATES[0]()

@@ -203,7 +203,7 @@ class TestCampaign:
 
         report = run_campaign("quick")
         assert report.all_passed
-        assert len(report.sections) == 10
+        assert len(report.sections) == 17
         rendered = report.render()
         assert "Table I row 3" in rendered
         assert "Figure 2" in rendered

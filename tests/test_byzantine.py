@@ -212,6 +212,45 @@ class TestCombinedAttacks:
         assert 1 in result.crashed_robots
 
 
+class TestAttackGrid:
+    """Experiment E7 across seeds (k=16, n=24, 300-round budget)."""
+
+    N, K = 24, 16
+
+    def run(self, policies, seed, crash_schedule=None):
+        return SimulationEngine(
+            RandomChurnDynamicGraph(self.N, extra_edges=self.N // 2, seed=seed),
+            RobotSet.rooted(self.K, self.N),
+            DispersionDynamic(),
+            byzantine_policies=policies,
+            crash_schedule=crash_schedule,
+            max_rounds=300,
+            collect_records=False,
+        ).run()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_honest_hide_and_fake(self, seed):
+        honest = self.run(None, seed)
+        assert honest.dispersed and honest.algorithm_detected_termination
+        hidden = self.run({1: HideMultiplicity()}, seed)
+        assert not hidden.dispersed and hidden.total_moves == 0
+        faked = self.run({1: FakeMultiplicity(phantoms=3)}, seed)
+        assert not faked.algorithm_detected_termination
+
+    @pytest.mark.parametrize("crash_round", [2, 5, 10])
+    def test_crashed_liar_recovers_within_k_minus_1(self, crash_round):
+        """A crashed liar stops lying: the honest robots disperse within
+        k - 1 rounds of the crash."""
+        from repro.robots.faults import CrashEvent, CrashPhase, CrashSchedule
+
+        schedule = CrashSchedule(
+            [CrashEvent(1, crash_round, CrashPhase.BEFORE_COMMUNICATE)]
+        )
+        result = self.run({1: HideMultiplicity()}, 1, schedule)
+        assert result.dispersed
+        assert result.rounds <= crash_round + self.K - 1
+
+
 class TestForgeryStructuralValidity:
     """Forged packets must stay structurally plausible -- the engine and
     honest robots treat them as ordinary packets."""

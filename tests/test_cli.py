@@ -72,7 +72,7 @@ class TestNewCommands:
     def test_campaign_quick(self, capsys):
         assert main(["campaign", "--scale", "quick"]) == 0
         out = capsys.readouterr().out
-        assert "10/10 experiments match" in out
+        assert "17/17 experiments match" in out
         assert "FAIL" not in out
 
     def test_table1(self, capsys):

@@ -1,7 +1,7 @@
 """Documentation-integrity tests.
 
-A reproduction's documentation makes checkable claims: benchmarks it
-names must exist, modules it maps to must import, and the repository
+A reproduction's documentation makes checkable claims: campaign sections
+it names must exist, modules it maps to must import, and the repository
 structure it describes must be real.  These tests keep the docs honest as
 the code evolves.
 """
@@ -32,21 +32,31 @@ class TestRequiredDocuments:
         assert len(read(name)) > 500
 
 
-class TestBenchReferencesResolve:
-    @pytest.mark.parametrize("doc", ["DESIGN.md", "EXPERIMENTS.md"])
-    def test_named_benchmarks_exist(self, doc):
-        text = read(doc)
-        referenced = set(re.findall(r"bench_[a-z0-9_]+\.py", text))
-        assert referenced, f"{doc} references no benchmarks?"
-        for name in referenced:
-            assert (ROOT / "benchmarks" / name).exists(), (doc, name)
+#: How DESIGN.md and EXPERIMENTS.md name a campaign section: its title
+#: up to the first " -- ", in a code span (`campaign: Table I row 3`).
+SECTION_REFERENCE = re.compile(r"`campaign: ([^`]+)`")
 
-    def test_every_benchmark_is_documented(self):
-        design = read("DESIGN.md") + read("EXPERIMENTS.md")
-        for path in (ROOT / "benchmarks").glob("bench_*.py"):
-            assert path.name in design, (
-                f"{path.name} is not mentioned in DESIGN.md/EXPERIMENTS.md"
-            )
+
+class TestCampaignSectionsDocumented:
+    @pytest.fixture(scope="class")
+    def section_keys(self):
+        from repro.analysis.campaign import run_campaign
+
+        report = run_campaign("quick")
+        return {section.title.split(" -- ")[0] for section in report.sections}
+
+    @pytest.mark.parametrize("doc", ["DESIGN.md", "EXPERIMENTS.md"])
+    def test_named_sections_exist(self, doc, section_keys):
+        referenced = set(SECTION_REFERENCE.findall(read(doc)))
+        assert referenced, f"{doc} names no campaign section?"
+        assert referenced <= section_keys, (doc, referenced - section_keys)
+
+    def test_every_section_is_documented(self, section_keys):
+        referenced = set(SECTION_REFERENCE.findall(read("EXPERIMENTS.md")))
+        assert section_keys <= referenced, (
+            f"sections missing from EXPERIMENTS.md: "
+            f"{sorted(section_keys - referenced)}"
+        )
 
 
 def _resolve(dotted: str) -> None:

@@ -646,8 +646,6 @@ class TestSelfCheck:
         assert report.ok, render_text(report)
 
     def test_whole_tree_is_clean(self):
-        report = lint_paths(
-            [REPO / "src", REPO / "tests", REPO / "benchmarks"]
-        )
+        report = lint_paths([REPO / "src", REPO / "tests"])
         assert report.ok, render_text(report)
         assert report.files_scanned > 100

@@ -447,6 +447,69 @@ SCHEDULER_COMPONENTS = {
 }
 
 
+#: Experiment E12's five execution models, each seeded per run.
+E12_MODELS = {
+    "fsync": lambda seed: None,
+    "ssync p=0.6": lambda seed: ComponentSpec(
+        "ssync", {"policy": "random_subset", "p": 0.6, "seed": seed * 13 + 1}
+    ),
+    "async uniform": lambda seed: ComponentSpec(
+        "async",
+        {"seed": seed * 13 + 1, "distribution": "uniform", "max_delay": 3},
+    ),
+    "async geometric": lambda seed: ComponentSpec(
+        "async",
+        {"seed": seed * 13 + 1, "distribution": "geometric",
+         "max_delay": 6, "p": 0.5},
+    ),
+    "async biased": lambda seed: ComponentSpec(
+        "async",
+        {"seed": seed * 13 + 1, "distribution": "biased", "max_delay": 6,
+         "laggards": [1, 2, 3]},
+    ),
+}
+
+
+class TestSchedulerModelGrid:
+    """Experiment E12: Algorithm 4 under every execution model (k=16,
+    n=24, 5 seeds) disperses, and only FSYNC keeps the k - 1 bound."""
+
+    @staticmethod
+    def _spec(model, seed, collect_records=False):
+        return RunSpec(
+            graph=ComponentSpec(
+                "random_churn", {"n": 24, "extra_edges": 12, "seed": seed}
+            ),
+            placement=PlacementSpec(kind="rooted", k=16),
+            scheduler=E12_MODELS[model](seed),
+            max_rounds=20000,
+            collect_records=collect_records,
+        )
+
+    def test_every_model_disperses_and_fsync_is_fastest(self):
+        from repro.sim.spec import execute
+
+        steps = {}
+        for model in E12_MODELS:
+            results = [execute(self._spec(model, seed)) for seed in range(5)]
+            assert all(r.dispersed for r in results), model
+            steps[model] = [r.rounds for r in results]
+        assert all(rounds <= 15 for rounds in steps["fsync"])
+        mean = {model: sum(s) / len(s) for model, s in steps.items()}
+        assert all(mean["fsync"] <= value for value in mean.values())
+        assert mean["async biased"] >= mean["fsync"]
+
+    @pytest.mark.parametrize("model", sorted(E12_MODELS))
+    def test_replay_is_trace_identical(self, model):
+        from repro.sim.spec import execute
+        from repro.sim.traceio import run_result_to_json
+
+        spec = self._spec(model, 3, collect_records=True)
+        assert run_result_to_json(execute(spec)) == run_result_to_json(
+            execute(spec)
+        )
+
+
 class TestCrossSchedulerReplay:
     """Identical seeds give identical traces, per scheduler model.
 
