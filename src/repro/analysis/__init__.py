@@ -1,21 +1,14 @@
-"""Experiment harnesses, bound checks, ablations, and report tables.
+"""The reproduction campaign and what it is built from.
 
-This package holds the reproduction campaign (:mod:`repro.analysis.campaign`,
-one pass/fail section per claim of the paper) and what it is built from:
-it runs parameter sweeps (rounds vs. k, faults, dynamism levels), fits and
-checks the paper's bounds (O(k) rounds, Theta(log k) bits), reconstructs
-the Figure 3/4 worked example, and renders aligned text tables so every
-section prints the same kind of rows the paper reports.
+This package holds the campaign (:mod:`repro.analysis.campaign`, one
+pass/fail section per claim of the paper -- the only place a claim is
+checked) and its parts: the run grids (rounds vs. k, faults), fits and
+checks of the paper's bounds (O(k) rounds, Theta(log k) bits), the
+ablation variants, the Figure 3/4 worked example, and aligned text tables
+so every section prints the same kind of rows the paper reports.
 """
 
-from repro.analysis.experiments import (
-    DispersionOutcome,
-    run_dispersion,
-    sweep_rounds_vs_k,
-    sweep_faults,
-)
 from repro.analysis.bounds import (
-    linear_fit,
     check_rounds_upper_bound,
     check_memory_logarithmic,
     check_monotone_progress,
@@ -30,19 +23,12 @@ from repro.analysis.ablation import (
 )
 from repro.analysis.statistics import (
     LinearFit,
-    SampleSummary,
     fit_line,
     fit_logarithm,
-    summarize_samples,
 )
 from repro.analysis.dot import configuration_to_dot, components_to_dot, figure3_dot
 
 __all__ = [
-    "DispersionOutcome",
-    "run_dispersion",
-    "sweep_rounds_vs_k",
-    "sweep_faults",
-    "linear_fit",
     "check_rounds_upper_bound",
     "check_memory_logarithmic",
     "check_monotone_progress",
@@ -54,10 +40,8 @@ __all__ = [
     "NoTruncationVariant",
     "UnorderedLeafVariant",
     "LinearFit",
-    "SampleSummary",
     "fit_line",
     "fit_logarithm",
-    "summarize_samples",
     "configuration_to_dot",
     "components_to_dot",
     "figure3_dot",

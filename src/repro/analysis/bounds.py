@@ -8,26 +8,17 @@ theoretical claim holds in the measurements:
   least one node per round, Lemma 7);
 * Lemma 7 -- the occupied node set grows monotonically, by at least one
   node per executed round, in fault-free runs;
-* Lemma 8 -- peak persistent memory grows like ``ceil(log2 k)`` bits;
-* linearity -- rounds vs. k is (approximately) a line, the Theta(k) shape.
+* Lemma 8 -- peak persistent memory grows like ``ceil(log2 k)`` bits.
+
+The Theta(k) linearity fit is :func:`repro.analysis.statistics.fit_line`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence, Tuple
+from typing import Dict
 
 from repro.sim.metrics import RunResult
-
-
-def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float]:
-    """Least-squares ``y ~ slope * x + intercept`` (numpy-backed)."""
-    import numpy as np
-
-    if len(xs) != len(ys) or len(xs) < 2:
-        raise ValueError("need at least two (x, y) pairs")
-    slope, intercept = np.polyfit(np.asarray(xs, float), np.asarray(ys, float), 1)
-    return float(slope), float(intercept)
 
 
 def check_rounds_upper_bound(result: RunResult) -> bool:

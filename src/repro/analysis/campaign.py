@@ -48,10 +48,9 @@ from repro.analysis.bounds import (
     check_rounds_upper_bound,
 )
 from repro.analysis.experiments import (
-    DispersionOutcome,
     faults_specs,
+    rounds_vs_k_specs,
     summarize,
-    sweep_rounds_vs_k,
 )
 from repro.analysis.statistics import fit_line, is_monotone_decreasing
 from repro.analysis.tables import format_table
@@ -249,12 +248,13 @@ def _k_values(scale: str) -> List[int]:
 
 def _section_algorithm(scale: str, runner: Runner) -> CampaignSection:
     k_values = _k_values(scale)
-    data = sweep_rounds_vs_k(k_values, seeds=(0, 1), runner=runner)
+    seeds = (0, 1)
+    specs = rounds_vs_k_specs(k_values, seeds=seeds)
     rows = []
     means = []
     ok = True
-    for k in k_values:
-        stats = summarize(data[k])
+    for k, group in zip(k_values, _chunks(runner.run(specs), len(seeds))):
+        stats = summarize(group)
         means.append(stats["mean_rounds"])
         within = stats["max_rounds"] <= k - 1
         ok &= within and stats["all_dispersed"] == 1.0
@@ -335,7 +335,7 @@ def _section_faults(scale: str, runner: Runner) -> CampaignSection:
     means = []
     ok = True
     for f, group in zip(f_values, _chunks(runner.run(specs), len(seeds))):
-        stats = summarize([DispersionOutcome.from_result(r) for r in group])
+        stats = summarize(group)
         means.append(stats["mean_rounds"])
         ok &= stats["all_dispersed"] == 1.0
         # Theorem 5 per run: rounds <= (k - f) + slack * max(1, f).

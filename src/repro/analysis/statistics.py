@@ -1,70 +1,15 @@
-"""Statistical helpers for experiment aggregation.
+"""Shape tests for experiment aggregates.
 
-Sweeps repeat runs over seeds; these helpers turn the resulting samples
-into the summaries a paper-style evaluation reports: means with confidence
-intervals, least-squares fits with goodness-of-fit, and simple monotone
-trend tests.  Built on numpy/scipy.
+The campaign's sections fit their per-``k`` means to a line (the Theta(k)
+rounds shape) or to ``log2 k`` (the Theta(log k) memory shape) and test
+trends for monotonicity.  The fits use numpy's least squares.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
-
-
-@dataclass(frozen=True)
-class SampleSummary:
-    """Mean, spread and a confidence interval of one metric's samples."""
-
-    count: int
-    mean: float
-    stdev: float
-    minimum: float
-    maximum: float
-    ci_low: float
-    ci_high: float
-
-    def as_row(self) -> Tuple[float, float, float, float]:
-        """(mean, ci_low, ci_high, stdev) for table rows."""
-        return (self.mean, self.ci_low, self.ci_high, self.stdev)
-
-
-def summarize_samples(
-    samples: Sequence[float], *, confidence: float = 0.95
-) -> SampleSummary:
-    """Mean with a Student-t confidence interval.
-
-    For a single sample the interval degenerates to the point itself.
-    """
-    if not samples:
-        raise ValueError("need at least one sample")
-    import numpy as np
-
-    data = np.asarray(samples, dtype=float)
-    mean = float(data.mean())
-    if len(data) == 1:
-        return SampleSummary(1, mean, 0.0, mean, mean, mean, mean)
-
-    from scipy import stats
-
-    sem = float(stats.sem(data))
-    stdev = float(data.std(ddof=1))
-    if sem == 0.0:
-        low = high = mean
-    else:
-        low, high = stats.t.interval(
-            confidence, len(data) - 1, loc=mean, scale=sem
-        )
-    return SampleSummary(
-        count=len(data),
-        mean=mean,
-        stdev=stdev,
-        minimum=float(data.min()),
-        maximum=float(data.max()),
-        ci_low=float(low),
-        ci_high=float(high),
-    )
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -112,27 +57,3 @@ def is_monotone_decreasing(
         later <= earlier + tolerance
         for earlier, later in zip(values, values[1:])
     )
-
-
-def group_summaries(
-    samples_by_key: Dict[object, Sequence[float]],
-    *,
-    confidence: float = 0.95,
-) -> Dict[object, SampleSummary]:
-    """Summarize every group of a keyed sample dict."""
-    return {
-        key: summarize_samples(values, confidence=confidence)
-        for key, values in samples_by_key.items()
-    }
-
-
-def relative_speedup(
-    baseline: Sequence[float], improved: Sequence[float]
-) -> float:
-    """Mean(baseline) / mean(improved) -- the 'who wins by what factor'
-    number the reproduction bands care about."""
-    base = summarize_samples(baseline).mean
-    new = summarize_samples(improved).mean
-    if new == 0:
-        raise ValueError("improved mean is zero; speedup undefined")
-    return base / new

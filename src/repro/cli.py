@@ -1,28 +1,30 @@
 """Command-line interface: ``repro-dispersion`` / ``python -m repro``.
 
-Subcommands mirror the experiment suite:
+Subcommands:
 
 * ``run``         -- one dispersion run, printed round by round;
-* ``sweep``       -- rounds vs. k on random churn (Table I row 3 shape);
-* ``faults``      -- rounds vs. f crash faults (Table I row 4 shape);
-* ``lower-bound`` -- the Theorem 3 star-star adversary (Figure 2 shape);
-* ``figure3``     -- the reconstructed Figure 3/4 worked example;
+* ``campaign``    -- every claim of the paper (Table I, Figures 1-4 and
+  the extra experiments), one pass/fail section each
+  (:mod:`repro.analysis.campaign`);
 * ``cache``       -- inspect (``stats``, ``verify``) or clean (``gc``,
   ``clear``) the content-addressed run store;
 * ``chaos``       -- replay a seeded fault plan (:mod:`repro.chaos`)
   against the campaign and assert bit-identical convergence;
+* ``export-dot``  -- Graphviz pictures of Figure 3 or a random
+  configuration;
 * ``lint``        -- the AST-based determinism / cache-safety analyzer
   (:mod:`repro.lint`): checks the D/C/R/H invariant rules over a source
   tree (``--all`` adds the whole-program pass), with ``--json``.
 
-``sweep``, ``faults`` and ``campaign`` accept ``--jobs N`` to fan their
-run grids across ``N`` worker processes (``--jobs -1`` uses every core);
-results are bit-identical to serial execution.  The same three commands
-cache every run in a content-addressed store (``$REPRO_CACHE_DIR`` or
-the user cache dir; override with ``--cache-dir``, opt out with
-``--no-cache``), which makes interrupted campaigns resumable and repeat
-invocations nearly free.  ``--timeout S`` / ``--retries N`` bound each
-work unit's wall clock and retry budget when running with ``--jobs``.
+``campaign`` accepts ``--jobs N`` to fan its run grids across ``N``
+worker processes (``--jobs -1`` uses every core); results are
+bit-identical to serial execution.  It caches every run in a
+content-addressed store (``$REPRO_CACHE_DIR`` or the user cache dir;
+override with ``--cache-dir``, opt out with ``--no-cache``), which
+makes interrupted campaigns resumable and repeat invocations nearly
+free.  ``--timeout S`` / ``--retries N`` bound each work unit's wall
+clock and retry budget when running with ``--jobs``.  Custom grids run
+through the library: ``repro.sweep(specs, jobs=N, store=...)``.
 """
 
 from __future__ import annotations
@@ -33,14 +35,6 @@ import random
 import sys
 from typing import List, Optional
 
-from repro.adversary.star_lower_bound import StarStarAdversary
-from repro.analysis.experiments import (
-    run_dispersion,
-    summarize,
-    sweep_faults,
-    sweep_rounds_vs_k,
-)
-from repro.analysis.figures import build_fig3_instance, fig3_component_summary
 from repro.analysis.tables import format_table
 from repro.core.dispersion import DispersionDynamic
 from repro.graph.dynamic import RandomChurnDynamicGraph
@@ -95,53 +89,6 @@ def _backend_from_args(args: argparse.Namespace):
     from repro.sim.spec import ComponentSpec, build_backend
 
     return build_backend(ComponentSpec(args.backend))
-
-
-def _add_execution_args(parser: argparse.ArgumentParser, what: str) -> None:
-    """The shared execution/caching flags of sweep/faults/campaign."""
-    parser.add_argument(
-        "--jobs", type=int, default=None,
-        help=f"worker processes for {what} (-1: all cores)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="PATH",
-        help="run-store location (default: $REPRO_CACHE_DIR or the user "
-        "cache dir)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="recompute every run; do not read or write the run store",
-    )
-    parser.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
-        help="per-unit wall-clock limit in seconds (with --jobs)",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=0, metavar="N",
-        help="retry budget per work unit (with --jobs)",
-    )
-    parser.add_argument(
-        "--durability", choices=("fast", "strict"), default="fast",
-        help="run-store write durability: 'strict' fsyncs entry and "
-        "directory so published entries survive power loss intact",
-    )
-
-
-def _store_from_args(args: argparse.Namespace) -> Optional[RunStore]:
-    """The run store the command should use, or None with ``--no-cache``."""
-    if args.no_cache:
-        return None
-    return RunStore(
-        args.cache_dir, durability=getattr(args, "durability", "fast")
-    )
-
-
-def _print_cache_line(store: Optional[RunStore]) -> None:
-    if store is not None:
-        print(
-            f"cache: {store.hits} hits, {store.misses} misses "
-            f"({store.root})"
-        )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -203,109 +150,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if result.dispersed else 1
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    k_values = args.k_values or [8, 16, 32, 64, 128]
-    store = _store_from_args(args)
-    with runner_from_jobs(
-        args.jobs, timeout=args.timeout, retries=args.retries, store=store
-    ) as runner:
-        data = sweep_rounds_vs_k(
-            k_values,
-            extra_edges_per_node=args.extra_edges_per_node,
-            rooted=args.rooted,
-            seeds=range(args.seeds),
-            runner=runner,
-        )
-    rows = []
-    for k in k_values:
-        stats = summarize(data[k])
-        rows.append(
-            (
-                k,
-                2 * k,
-                stats["mean_rounds"],
-                int(stats["min_rounds"]),
-                int(stats["max_rounds"]),
-                stats["mean_moves"],
-            )
-        )
-    print(
-        format_table(
-            ("k", "n", "mean_rounds", "min", "max", "mean_moves"),
-            rows,
-            title="rounds to dispersion vs k (random churn, Theorem 4 shape)",
-        )
-    )
-    _print_cache_line(store)
-    return 0
-
-
-def _cmd_faults(args: argparse.Namespace) -> int:
-    k = args.k
-    f_values = args.f_values or [0, k // 8, k // 4, k // 2, (3 * k) // 4]
-    store = _store_from_args(args)
-    with runner_from_jobs(
-        args.jobs, timeout=args.timeout, retries=args.retries, store=store
-    ) as runner:
-        data = sweep_faults(k, f_values, seeds=range(args.seeds), runner=runner)
-    rows = []
-    for f in f_values:
-        stats = summarize(data[f])
-        rows.append((f, k - f, stats["mean_rounds"], stats["mean_moves"]))
-    print(
-        format_table(
-            ("f", "k-f", "mean_rounds", "mean_moves"),
-            rows,
-            title=f"rounds vs crash faults, k={k} (Theorem 5 shape)",
-        )
-    )
-    _print_cache_line(store)
-    return 0
-
-
-def _cmd_lower_bound(args: argparse.Namespace) -> int:
-    rows = []
-    for k in args.k_values or [8, 16, 32, 64]:
-        n = k + args.slack_nodes
-        adversary = StarStarAdversary(n, [0], seed=args.seed)
-        result = run_dispersion(adversary, RobotSet.rooted(k, n))
-        rows.append((k, n, result.rounds, k - 1, result.rounds == k - 1))
-    print(
-        format_table(
-            ("k", "n", "rounds", "k-1", "tight"),
-            rows,
-            title="Theorem 3 star-star adversary: rounds equal k-1 exactly",
-        )
-    )
-    return 0
-
-
-def _cmd_figure3(args: argparse.Namespace) -> int:
-    instance = build_fig3_instance()
-    for line in fig3_component_summary(instance):
-        print(line)
-    from repro.core.components import partition_into_components
-    from repro.core.spanning_tree import build_spanning_tree
-    from repro.core.disjoint_paths import compute_disjoint_paths
-    from repro.sim.observation import build_info_packets
-
-    packets = build_info_packets(instance.snapshot, instance.positions)
-    for component in partition_into_components(packets.values()):
-        tree = build_spanning_tree(component)
-        assert tree is not None
-        paths = compute_disjoint_paths(tree, component)
-        print(
-            f"component root {tree.root}: tree edges {tree.edges()}, "
-            f"disjoint paths {[list(p.nodes) for p in paths]}"
-        )
-    return 0
-
-
 def _cmd_campaign(args: argparse.Namespace) -> int:
     from repro.analysis.campaign import run_campaign
 
     scale = "quick" if args.quick else args.scale
-    store = _store_from_args(args)
+    store = (
+        None if args.no_cache
+        else RunStore(args.cache_dir, durability=args.durability)
+    )
     with runner_from_jobs(
         args.jobs, timeout=args.timeout, retries=args.retries, store=store
     ) as runner:
@@ -336,46 +188,6 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
         print(f"wrote {args.output}")
     else:
         print(text)
-    return 0
-
-
-def _cmd_ring(args: argparse.Namespace) -> int:
-    from repro.baselines.ring_walk import RingWalkDispersion
-    from repro.graph.rings import RingDynamicGraph
-    from repro.sim.observation import CommunicationModel
-
-    walker = RingWalkDispersion()
-    blocked = SimulationEngine(
-        RingDynamicGraph(
-            args.n, mode="blocking", seed=args.seed, algorithm=walker
-        ),
-        RobotSet.rooted(args.k, args.n),
-        walker,
-        communication=CommunicationModel.LOCAL,
-        max_rounds=args.budget,
-    ).run()
-    paper_algorithm = DispersionDynamic()
-    paper = SimulationEngine(
-        RingDynamicGraph(
-            args.n,
-            mode="blocking",
-            seed=args.seed,
-            algorithm=paper_algorithm,
-            communication=CommunicationModel.GLOBAL,
-        ),
-        RobotSet.rooted(args.k, args.n),
-        paper_algorithm,
-    ).run()
-    print(
-        format_table(
-            ("algorithm", "dispersed", "rounds"),
-            [
-                ("ring walker (local)", blocked.dispersed, blocked.rounds),
-                ("paper (global+1NK)", paper.dispersed, paper.rounds),
-            ],
-            title=f"blocking dynamic ring, k={args.k}, n={args.n}",
-        )
-    )
     return 0
 
 
@@ -552,14 +364,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return run_from_args(args)
 
 
-def _cmd_table1(args: argparse.Namespace) -> int:
-    from repro.analysis.paper_table import table1
-
-    text, all_ok = table1()
-    print(text)
-    return 0 if all_ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Build the argparse parser with all subcommands."""
     parser = argparse.ArgumentParser(
@@ -612,30 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.set_defaults(func=_cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="rounds vs k")
-    p_sweep.add_argument("--k-values", type=int, nargs="*", default=None)
-    p_sweep.add_argument("--seeds", type=int, default=3)
-    p_sweep.add_argument("--extra-edges-per-node", type=float, default=0.5)
-    p_sweep.add_argument("--rooted", action="store_true", default=True)
-    _add_execution_args(p_sweep, "the sweep grid")
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_faults = sub.add_parser("faults", help="rounds vs crash faults")
-    p_faults.add_argument("--k", type=int, default=64)
-    p_faults.add_argument("--f-values", type=int, nargs="*", default=None)
-    p_faults.add_argument("--seeds", type=int, default=3)
-    _add_execution_args(p_faults, "the fault grid")
-    p_faults.set_defaults(func=_cmd_faults)
-
-    p_lb = sub.add_parser("lower-bound", help="Theorem 3 adversary")
-    p_lb.add_argument("--k-values", type=int, nargs="*", default=None)
-    p_lb.add_argument("--slack-nodes", type=int, default=5)
-    p_lb.add_argument("--seed", type=int, default=0)
-    p_lb.set_defaults(func=_cmd_lower_bound)
-
-    p_fig3 = sub.add_parser("figure3", help="Figure 3/4 worked example")
-    p_fig3.set_defaults(func=_cmd_figure3)
-
     p_campaign = sub.add_parser(
         "campaign", help="run the full reproduction campaign"
     )
@@ -652,7 +432,33 @@ def build_parser() -> argparse.ArgumentParser:
         help="engine backend for every campaign run (default: reference; "
         "see --list-backends)",
     )
-    _add_execution_args(p_campaign, "the campaign's run grids")
+    p_campaign.add_argument(
+        "--jobs", type=int, default=None,
+        help="worker processes for the campaign's run grids "
+        "(-1: all cores)",
+    )
+    p_campaign.add_argument(
+        "--cache-dir", default=None, metavar="PATH",
+        help="run-store location (default: $REPRO_CACHE_DIR or the user "
+        "cache dir)",
+    )
+    p_campaign.add_argument(
+        "--no-cache", action="store_true",
+        help="recompute every run; do not read or write the run store",
+    )
+    p_campaign.add_argument(
+        "--timeout", type=float, default=None, metavar="S",
+        help="per-unit wall-clock limit in seconds (with --jobs)",
+    )
+    p_campaign.add_argument(
+        "--retries", type=int, default=0, metavar="N",
+        help="retry budget per work unit (with --jobs)",
+    )
+    p_campaign.add_argument(
+        "--durability", choices=("fast", "strict"), default="fast",
+        help="run-store write durability: 'strict' fsyncs entry and "
+        "directory so published entries survive power loss intact",
+    )
     p_campaign.add_argument(
         "--json", default=None, metavar="PATH",
         help="also write the machine-readable report (timings, verdicts, "
@@ -785,18 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_lint_arguments(p_lint)
     p_lint.set_defaults(func=_cmd_lint)
-
-    p_table1 = sub.add_parser(
-        "table1", help="the paper's Table I with measured verdicts"
-    )
-    p_table1.set_defaults(func=_cmd_table1)
-
-    p_ring = sub.add_parser("ring", help="dynamic-ring blocking demo")
-    p_ring.add_argument("--n", type=int, default=14)
-    p_ring.add_argument("--k", type=int, default=9)
-    p_ring.add_argument("--seed", type=int, default=0)
-    p_ring.add_argument("--budget", type=int, default=300)
-    p_ring.set_defaults(func=_cmd_ring)
 
     return parser
 

@@ -318,18 +318,6 @@ class GraphSnapshot:
             components.append(frozenset(members))
         return components
 
-    def to_networkx(self):
-        """Export to a :mod:`networkx` graph with port attributes."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self._n))
-        for edge in self.edges():
-            graph.add_edge(
-                edge.u, edge.v, ports={edge.u: edge.port_u, edge.v: edge.port_v}
-            )
-        return graph
-
     def relabeled_ports(self, rng: random.Random) -> "GraphSnapshot":
         """The same graph with freshly randomized port labels."""
         return GraphSnapshot.from_edges(self._n, self._edge_pairs(), rng=rng)

@@ -35,6 +35,19 @@ def repo_lint():
     )
 
 
+@pytest.fixture(scope="session")
+def quick_campaign():
+    """One store-less ``run_campaign("quick")`` report.
+
+    The tests that only read a quick campaign's report (its verdicts,
+    section titles or cache block) share this one cold pass; a test
+    whose point is a cold pass runs its own.
+    """
+    from repro.analysis.campaign import run_campaign
+
+    return run_campaign("quick")
+
+
 @pytest.fixture(autouse=True)
 def _isolated_run_store(tmp_path, monkeypatch):
     """Point the default run store at a per-test directory.

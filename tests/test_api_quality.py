@@ -7,9 +7,13 @@ guarantees do not rot.
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pathlib
 import pkgutil
+import re
+import sys
+import sysconfig
 
 import pytest
 
@@ -75,8 +79,6 @@ PUBLIC_MODULES = [
     "repro.analysis.tables",
     "repro.analysis.ablation",
     "repro.analysis.campaign",
-    "repro.analysis.paper_table",
-    "repro.analysis.comparison",
     "repro.analysis.dot",
     "repro.analysis.render",
     "repro.lint",
@@ -202,3 +204,68 @@ def test_engine_private_state_stays_inside_the_engine():
                 offenders.append(f"{relative}:{node.lineno}: {node.attr}")
     assert not offenders, offenders
 
+
+
+def _is_stdlib(name):
+    """Whether top-level module ``name`` ships with the interpreter.
+
+    Python 3.10+ lists them in ``sys.stdlib_module_names``; on 3.9 a
+    module is stdlib when it is built in or found under the stdlib
+    directory outside any ``site-packages``.
+    """
+    listed = getattr(sys, "stdlib_module_names", None)
+    if listed is not None:
+        return name in listed
+    if name in sys.builtin_module_names:
+        return True
+    try:
+        spec = importlib.util.find_spec(name)
+    except (ImportError, ValueError):
+        return False
+    if spec is None or spec.origin is None:
+        return False
+    if spec.origin in ("built-in", "frozen"):
+        return True
+    origin = pathlib.Path(spec.origin).resolve()
+    stdlib = pathlib.Path(sysconfig.get_paths()["stdlib"]).resolve()
+    return stdlib in origin.parents and "site-packages" not in origin.parts
+
+
+def _declared_dependencies():
+    """Import names of pyproject's ``[project] dependencies``."""
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    listing = re.search(
+        r"^dependencies = \[(.*?)\]", pyproject.read_text(), re.M | re.S
+    )
+    assert listing, "pyproject.toml declares no [project] dependencies"
+    requirements = re.findall(r'"([^"]+)"', listing.group(1))
+    return {
+        re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower().replace("-", "_")
+        for req in requirements
+    }
+
+
+def test_every_third_party_import_is_declared():
+    """Each package ``src/repro`` imports is stdlib, ``repro`` itself, or
+    listed in pyproject's ``[project] dependencies``."""
+    root = pathlib.Path(repro.__file__).resolve().parent
+    imported = {}
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.split(".")[0]
+                imported.setdefault(top, f"{path.relative_to(root)}:{node.lineno}")
+    declared = _declared_dependencies()
+    undeclared = {
+        top: where
+        for top, where in imported.items()
+        if top != "repro" and top not in declared and not _is_stdlib(top)
+    }
+    assert not undeclared, undeclared

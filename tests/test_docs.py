@@ -39,11 +39,11 @@ SECTION_REFERENCE = re.compile(r"`campaign: ([^`]+)`")
 
 class TestCampaignSectionsDocumented:
     @pytest.fixture(scope="class")
-    def section_keys(self):
-        from repro.analysis.campaign import run_campaign
-
-        report = run_campaign("quick")
-        return {section.title.split(" -- ")[0] for section in report.sections}
+    def section_keys(self, quick_campaign):
+        return {
+            section.title.split(" -- ")[0]
+            for section in quick_campaign.sections
+        }
 
     @pytest.mark.parametrize("doc", ["DESIGN.md", "EXPERIMENTS.md"])
     def test_named_sections_exist(self, doc, section_keys):

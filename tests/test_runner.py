@@ -94,12 +94,14 @@ class TestRunnerFromJobs:
             assert isinstance(runner, Runner)
 
     def test_sweep_accepts_pool_runner(self):
-        from repro.analysis.experiments import sweep_rounds_vs_k
+        import repro
 
-        serial = sweep_rounds_vs_k([4, 8], seeds=(0, 1))
-        with ProcessPoolRunner(max_workers=2) as pool:
-            parallel = sweep_rounds_vs_k([4, 8], seeds=(0, 1), runner=pool)
-        assert serial == parallel
+        specs = rounds_vs_k_specs([4, 8], seeds=(0, 1))
+        serial = repro.sweep(specs)
+        parallel = repro.sweep(specs, jobs=2)
+        assert [run_result_to_dict(r) for r in serial] == [
+            run_result_to_dict(r) for r in parallel
+        ]
 
 
 # ---------------------------------------------------------------------------

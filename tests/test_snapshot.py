@@ -206,14 +206,6 @@ class TestAnalysis:
             frozenset({3, 4}),
         }
 
-    def test_to_networkx(self):
-        import networkx as nx
-
-        graph = triangle().to_networkx()
-        assert nx.is_connected(graph)
-        assert graph.number_of_edges() == 3
-        assert graph.edges[0, 1]["ports"][0] == 1
-
     def test_relabeled_ports_preserves_edges(self):
         snap = GraphSnapshot.from_edges(6, [(i, i + 1) for i in range(5)])
         relabeled = snap.relabeled_ports(random.Random(3))

@@ -8,44 +8,8 @@ from repro.analysis.statistics import (
     LinearFit,
     fit_line,
     fit_logarithm,
-    group_summaries,
     is_monotone_decreasing,
-    relative_speedup,
-    summarize_samples,
 )
-
-
-class TestSummarizeSamples:
-    def test_single_sample_degenerates(self):
-        summary = summarize_samples([5.0])
-        assert summary.mean == 5.0
-        assert summary.ci_low == summary.ci_high == 5.0
-        assert summary.stdev == 0.0
-
-    def test_basic_statistics(self):
-        summary = summarize_samples([2.0, 4.0, 6.0])
-        assert summary.mean == pytest.approx(4.0)
-        assert summary.minimum == 2.0 and summary.maximum == 6.0
-        assert summary.count == 3
-        assert summary.ci_low < 4.0 < summary.ci_high
-
-    def test_constant_samples_have_point_interval(self):
-        summary = summarize_samples([3.0, 3.0, 3.0, 3.0])
-        assert summary.ci_low == summary.ci_high == 3.0
-
-    def test_interval_narrows_with_more_samples(self):
-        few = summarize_samples([1.0, 2.0, 3.0])
-        many = summarize_samples([1.0, 2.0, 3.0] * 10)
-        assert (many.ci_high - many.ci_low) < (few.ci_high - few.ci_low)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            summarize_samples([])
-
-    def test_as_row(self):
-        row = summarize_samples([1.0, 3.0]).as_row()
-        assert row[0] == pytest.approx(2.0)
-        assert len(row) == 4
 
 
 class TestFits:
@@ -85,17 +49,3 @@ class TestTrends:
         assert is_monotone_decreasing([9, 7, 7, 3])
         assert not is_monotone_decreasing([3, 5, 2])
         assert is_monotone_decreasing([3, 3.4, 2], tolerance=0.5)
-
-    def test_relative_speedup(self):
-        assert relative_speedup([10, 10], [5, 5]) == pytest.approx(2.0)
-
-    def test_relative_speedup_rejects_zero(self):
-        with pytest.raises(ValueError):
-            relative_speedup([1], [0])
-
-
-class TestGroupSummaries:
-    def test_groups(self):
-        groups = group_summaries({8: [6, 7, 8], 16: [14, 15, 16]})
-        assert groups[8].mean == pytest.approx(7.0)
-        assert groups[16].mean == pytest.approx(15.0)

@@ -384,8 +384,8 @@ class TestResumableCampaign:
         assert warm.cache["hits"] == cold.cache["recomputed"]
         assert warm.to_dict()["cache"] == warm.cache
 
-    def test_campaign_without_store_reports_no_cache(self):
-        report = run_campaign("quick")
+    def test_campaign_without_store_reports_no_cache(self, quick_campaign):
+        report = quick_campaign
         assert report.cache is None
         assert report.to_dict()["cache"] is None
 
