@@ -3,16 +3,12 @@
 This package holds the campaign (:mod:`repro.analysis.campaign`, one
 pass/fail section per claim of the paper -- the only place a claim is
 checked) and its parts: the run grids (rounds vs. k, faults), fits and
-checks of the paper's bounds (O(k) rounds, Theta(log k) bits), the
-ablation variants, the Figure 3/4 worked example, and aligned text tables
-so every section prints the same kind of rows the paper reports.
+checks of the paper's round bounds, the ablation variants, the Figure 3/4
+worked example, and aligned text tables so every section prints the same
+kind of rows the paper reports.
 """
 
-from repro.analysis.bounds import (
-    check_rounds_upper_bound,
-    check_memory_logarithmic,
-    check_monotone_progress,
-)
+from repro.analysis.bounds import check_rounds_upper_bound
 from repro.analysis.figures import build_fig3_instance, Fig3Instance
 from repro.analysis.tables import format_table
 from repro.analysis.ablation import (
@@ -30,8 +26,6 @@ from repro.analysis.dot import configuration_to_dot, components_to_dot, figure3_
 
 __all__ = [
     "check_rounds_upper_bound",
-    "check_memory_logarithmic",
-    "check_monotone_progress",
     "build_fig3_instance",
     "Fig3Instance",
     "format_table",

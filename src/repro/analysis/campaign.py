@@ -37,16 +37,12 @@ sizes EXPERIMENTS.md quotes, k up to 512).
 
 from __future__ import annotations
 
-import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.analysis.bounds import (
-    check_faulty_rounds_bound,
-    check_rounds_upper_bound,
-)
+from repro.analysis.bounds import check_rounds_upper_bound
 from repro.analysis.experiments import (
     faults_specs,
     rounds_vs_k_specs,
@@ -55,6 +51,8 @@ from repro.analysis.experiments import (
 from repro.analysis.statistics import fit_line, is_monotone_decreasing
 from repro.analysis.tables import format_table
 from repro.robots.faults import CrashPhase
+from repro.robots.memory import bound_bits
+from repro.sim.invariants import PotentialViolation, check_potential_round
 from repro.sim.metrics import RunResult
 from repro.sim.runner import Runner, SerialRunner
 from repro.sim.spec import ComponentSpec, PlacementSpec, RunSpec
@@ -99,7 +97,11 @@ class CampaignReport:
 
     scale: str
     sections: List[CampaignSection] = field(default_factory=list)
-    backend: str = "serial"
+    backend: str = "reference"
+    """The engine backend pinned on every run (the engine's default when
+    none is pinned)."""
+    runner: str = "serial"
+    """Name of the runner chain that executed the spec grids."""
     total_seconds: float = 0.0
     cache: Optional[Dict[str, int]] = None
     failures: List[Dict[str, Any]] = field(default_factory=list)
@@ -138,6 +140,7 @@ class CampaignReport:
             "kind": "campaign_report",
             "scale": self.scale,
             "backend": self.backend,
+            "runner": self.runner,
             "all_passed": self.all_passed,
             "total_seconds": round(self.total_seconds, 6),
             "total_runs": sum(s.runs for s in self.sections),
@@ -310,7 +313,7 @@ def _section_memory(scale: str, runner: Runner) -> CampaignSection:
     rows = []
     ok = True
     for k, result in zip(k_values, runner.run(specs)):
-        expected = math.ceil(math.log2(k + 1))
+        expected = bound_bits(k)
         ok &= result.max_persistent_bits == expected
         rows.append((k, result.max_persistent_bits, expected))
     return CampaignSection(
@@ -338,8 +341,9 @@ def _section_faults(scale: str, runner: Runner) -> CampaignSection:
         stats = summarize(group)
         means.append(stats["mean_rounds"])
         ok &= stats["all_dispersed"] == 1.0
-        # Theorem 5 per run: rounds <= (k - f) + slack * max(1, f).
-        ok &= all(check_faulty_rounds_bound(r) for r in group)
+        # Theorem 5 per run: the potential bound rounds <= k - alpha_0,
+        # which holds with or without crashes (docs/model.md).
+        ok &= all(check_rounds_upper_bound(r) for r in group)
         rows.append((f, k - f, stats["mean_rounds"]))
     ok &= means[-1] < means[0]
     return CampaignSection(
@@ -451,9 +455,8 @@ def _section_figure34(scale: str, runner: Runner) -> CampaignSection:
         and tuple(roots) == tuple(sorted(instance.expected_roots))
         and result.dispersed
         # Figure 4(b): the sliding round keeps every occupied node
-        # occupied and settles at least one new one.
-        and first.occupied_before <= first.occupied_after
-        and len(first.newly_occupied) >= 1
+        # occupied and settles at least one new one (Lemma 7).
+        and check_potential_round(first) == PotentialViolation.NONE
     )
     rows = [
         (str([list(c.representatives) for c in components]), str(roots),
@@ -720,12 +723,9 @@ def _section_ablations(scale: str, runner: Runner) -> CampaignSection:
     for (label, _), runs in zip(_ABLATIONS, groups):
         records = [record for result in runs for record in result.records]
         dispersed = [r.rounds for r in runs if r.dispersed]
-        stalls = sum(
-            len(r.occupied_after) <= len(r.occupied_before) for r in records
-        )
-        vacating = sum(
-            not r.occupied_before <= r.occupied_after for r in records
-        )
+        found = [check_potential_round(r) for r in records]
+        stalls = sum(PotentialViolation.NO_PROGRESS in f for f in found)
+        vacating = sum(PotentialViolation.VACATED in f for f in found)
         keeps_guarantees = (
             len(dispersed) == len(seeds) and stalls == vacating == 0
             and all(rounds <= k - 1 for rounds in dispersed)
@@ -812,7 +812,7 @@ def _section_semisync(scale: str, runner: Runner) -> CampaignSection:
     for p, runs in zip(p_values, _chunks(runner.run(specs), len(seeds))):
         ok &= all(r.dispersed for r in runs)
         stalls = sum(
-            len(record.occupied_after) <= len(record.occupied_before)
+            PotentialViolation.NO_PROGRESS in check_potential_round(record)
             for r in runs
             for record in r.records
         )
@@ -979,7 +979,9 @@ def run_campaign(
     ``backend`` pins an *engine* backend (``"reference"`` or
     ``"vectorized"``) on every campaign spec; the pinning happens
     before content hashing, so each engine backend has its own cache
-    namespace.
+    namespace.  The report's ``backend`` names it (``"reference"``, the
+    engine's default, when none is pinned) and its ``runner`` names the
+    runner chain.
     """
     if scale not in ("quick", "full"):
         raise ValueError(f"scale must be 'quick' or 'full', got {scale!r}")
@@ -998,7 +1000,9 @@ def run_campaign(
     misses_before = cache_store.misses if cache_store is not None else 0
     corrupt_before = cache_store.corrupt if cache_store is not None else 0
     failures_before = Counter(_collect_failure_records(base_runner))
-    report = CampaignReport(scale=scale, backend=runner_name)
+    report = CampaignReport(
+        scale=scale, backend=backend or "reference", runner=runner_name
+    )
     t_campaign = time.perf_counter()
     for build_section in _SECTIONS:
         counting = _CountingRunner(base_runner)

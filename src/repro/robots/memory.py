@@ -7,26 +7,23 @@ via ``persistent_state(robot_id)``; the functions here convert such states
 into bit counts so the engine can audit the Theta(log k) bound empirically.
 
 The encoding charged is the information-theoretic one a real robot would
-use: an integer field known to lie in ``[0, B]`` costs ``ceil(log2(B + 1))``
-bits, a boolean costs 1 bit, ``None`` (absent optional field) costs the
-field's full width (the robot must still reserve the slot).
+use: an integer field known to lie in ``[0, B]`` costs
+``bound_bits(B) = ceil(log2(B + 1))`` bits, a boolean costs 1 bit,
+``None`` (absent optional field) costs the field's full width (the robot
+must still reserve the slot).  :func:`bound_bits` is the one width the
+engine's audit, the campaign's Lemma 8 section and the tests share.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Mapping, Optional, Tuple
+from typing import Any, Mapping, Optional
 
 
-def robot_id_bits(k: int) -> int:
-    """Bits needed to store a robot ID from ``[1, k]``: ``ceil(log2 k)``."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return max(1, math.ceil(math.log2(k))) if k > 1 else 1
-
-
-def _bound_bits(bound: int) -> int:
+def bound_bits(bound: int) -> int:
     """``ceil(log2(bound + 1))``, at least 1, in exact integer arithmetic.
+
+    This is the one Lemma 8 width: a robot ID from ``[1, k]`` costs
+    ``bound_bits(k)`` (5 bits for ``k = 16``).
 
     ``bound.bit_length()`` is that width for every ``bound >= 0``.  The
     float formula rounds ``bound + 1`` to a double first, so from ``2**53``
@@ -45,7 +42,7 @@ def bits_for_value(value: Any, *, bound: Optional[int] = None) -> int:
     own bit length is charged -- a lower bound on any real encoding.
     """
     if value is None:
-        return 0 if bound is None else _bound_bits(bound)
+        return 0 if bound is None else bound_bits(bound)
     if isinstance(value, bool):
         return 1
     if isinstance(value, int):
@@ -54,7 +51,7 @@ def bits_for_value(value: Any, *, bound: Optional[int] = None) -> int:
                 raise ValueError(
                     f"value {value} exceeds its declared bound {bound}"
                 )
-            return _bound_bits(bound)
+            return bound_bits(bound)
         return max(1, abs(value).bit_length() + (1 if value < 0 else 0))
     if isinstance(value, (tuple, list)):
         return sum(bits_for_value(item) for item in value)
@@ -85,18 +82,3 @@ def bits_for_state(
     for name, value in state.items():
         total += bits_for_value(value, bound=bounds.get(name))
     return total
-
-
-def theoretical_memory_bound(k: int, constant: float = 4.0) -> float:
-    """A reference ``constant * log2(k)`` curve for plots and assertions."""
-    if k < 2:
-        return constant
-    return constant * math.log2(k)
-
-
-def summarize_memory(per_robot_bits: Mapping[int, int]) -> Tuple[int, float]:
-    """Return ``(max_bits, mean_bits)`` across robots."""
-    if not per_robot_bits:
-        return (0, 0.0)
-    values = list(per_robot_bits.values())
-    return (max(values), sum(values) / len(values))

@@ -19,9 +19,10 @@ Provided observers:
   (what ``repro-dispersion run --live`` shows);
 * :class:`PhaseTimer` -- wall-clock accounting per CCM phase, for finding
   out where a run actually spends its time;
-* :class:`LiveInvariantChecker` -- checks the Lemma 7 shape (monotone
-  occupancy, per-round progress) *as the run executes*, so large sweeps
-  can keep ``collect_records=False`` and still assert the invariants.
+* :class:`LiveInvariantChecker` -- checks Lemma 7's crash-aware potential
+  (:func:`repro.sim.invariants.check_potential_round`) *as the run
+  executes*, so large sweeps can keep ``collect_records=False`` and still
+  assert the invariant.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Mapping, Optional, TextIO, Tuple
 
+from repro.sim.invariants import potential_violations
 from repro.sim.metrics import RoundRecord, RunResult
 
 
@@ -183,14 +185,15 @@ class PhaseTimer(EngineObserver):
 
 
 class LiveInvariantChecker(EngineObserver):
-    """Checks the Lemma 7 shape round by round, without stored records.
+    """Checks Lemma 7's potential round by round, without stored records.
 
-    Collects human-readable violation strings in :attr:`violations`
-    (mirroring :func:`repro.sim.invariants.check_occupied_monotone` and
-    :func:`~repro.sim.invariants.check_progress_every_round`, but live) so
-    large sweeps can run ``collect_records=False`` and still assert the
-    paper's progress guarantee.  Only meaningful for fault-free runs of
-    the canonical algorithm.
+    Collects the violation strings of
+    :func:`repro.sim.invariants.potential_violations` in
+    :attr:`violations` -- what :func:`~repro.sim.invariants.check_potential`
+    reports post hoc, but live -- so large sweeps can run
+    ``collect_records=False`` and still assert the paper's progress
+    guarantee.  Meaningful for FSYNC runs of the canonical algorithm,
+    with or without crashes.
     """
 
     def __init__(self) -> None:
@@ -201,17 +204,8 @@ class LiveInvariantChecker(EngineObserver):
         self.violations = []
 
     def on_round_end(self, record: RoundRecord) -> None:
-        """Check monotone occupancy and per-round progress."""
-        lost = record.occupied_before - record.occupied_after
-        if lost:
-            self.violations.append(
-                f"round {record.round_index}: occupied nodes "
-                f"{sorted(lost)} were vacated"
-            )
-        if not record.newly_occupied:
-            self.violations.append(
-                f"round {record.round_index}: no newly occupied node"
-            )
+        """Check the round against the potential."""
+        self.violations += potential_violations(record)
 
     @property
     def clean(self) -> bool:

@@ -15,10 +15,13 @@ Model invariants (must hold for every algorithm):
 
 Paper invariants (hold for the canonical algorithm in its model):
 
-* :func:`check_occupied_monotone` -- previously occupied nodes stay
-  occupied (Lemma 7's first half; fault-free synchronous runs only);
-* :func:`check_progress_every_round` -- at least one newly occupied node
-  per executed round (Lemma 7's second half);
+* :func:`check_potential_round` -- Lemma 7 extended to crashes, the one
+  place it is computed: with ``U = alive robots - occupied nodes``, every
+  FSYNC round that starts with ``U > 0`` lowers ``U``, and no node
+  empties unless a robot crashed after Compute.  It returns a
+  :class:`PotentialViolation` so callers can count the two kinds apart;
+  :func:`check_potential` runs it over a whole record.  It bounds every
+  run by ``k - alpha_0`` rounds, crashes or not (docs/model.md);
 * :func:`check_moves_bounded_by_paths` -- at most one robot leaves any
   non-root node per round (disjointness made physical).
 
@@ -29,9 +32,10 @@ experiments can count violations.
 
 from __future__ import annotations
 
+import enum
 from typing import List
 
-from repro.sim.metrics import RunResult, TerminationReason
+from repro.sim.metrics import RoundRecord, RunResult
 
 
 def check_round_indices(result: RunResult) -> List[str]:
@@ -93,28 +97,66 @@ def check_moves_cross_edges(result: RunResult) -> List[str]:
     return violations
 
 
-def check_occupied_monotone(result: RunResult) -> List[str]:
-    """Fault-free Lemma 7 (first half): occupied nodes never vacate."""
+class PotentialViolation(enum.Flag):
+    """What :func:`check_potential_round` found wrong with one round."""
+
+    NONE = 0
+    NO_PROGRESS = enum.auto()
+    """The round started with ``U > 0`` and ``U`` fell by less than one."""
+    VACATED = enum.auto()
+    """An occupied node emptied in a round without an after-Compute crash."""
+
+
+def check_potential_round(record: RoundRecord) -> PotentialViolation:
+    """Lemma 7 with crashes on one round: ``U`` falls, nothing is vacated.
+
+    ``U = len(positions) - len(occupied)`` on each side of the round.  A
+    crash never raises ``U`` (a lone robot takes its node with it; a
+    robot on a multiplicity node lowers ``U`` by one), so a crash is
+    never an excuse for ``U`` to stall.  It is the one excuse for a
+    vacated node: a settled robot that crashes after Compute empties its
+    node.  On a fault-free run robots are conserved, so ``U`` falls
+    exactly when the occupied set grows: with nothing vacated, that is
+    the paper's Lemma 7.
+    """
+    found = PotentialViolation.NONE
+    before = len(record.positions_before) - len(record.occupied_before)
+    after = len(record.positions_after) - len(record.occupied_after)
+    if before > 0 and after >= before:
+        found |= PotentialViolation.NO_PROGRESS
+    if not (
+        record.crashed_after_compute
+        or record.occupied_before <= record.occupied_after
+    ):
+        found |= PotentialViolation.VACATED
+    return found
+
+
+def potential_violations(record: RoundRecord) -> List[str]:
+    """:func:`check_potential_round`'s finding as violation strings."""
+    found = check_potential_round(record)
     violations = []
-    for record in result.records:
-        lost = record.occupied_before - record.occupied_after
-        if lost:
-            violations.append(
-                f"round {record.round_index}: occupied nodes "
-                f"{sorted(lost)} were vacated"
-            )
+    if PotentialViolation.NO_PROGRESS in found:
+        violations.append(
+            f"round {record.round_index}: the unsettled-robot count "
+            "did not fall"
+        )
+    if PotentialViolation.VACATED in found:
+        lost = sorted(record.occupied_before - record.occupied_after)
+        violations.append(
+            f"round {record.round_index}: occupied nodes {lost} were "
+            "vacated"
+        )
     return violations
 
 
-def check_progress_every_round(result: RunResult) -> List[str]:
-    """Fault-free Lemma 7 (second half): >= 1 new node per round."""
-    violations = []
-    for record in result.records:
-        if not record.newly_occupied:
-            violations.append(
-                f"round {record.round_index}: no newly occupied node"
-            )
-    return violations
+def check_potential(result: RunResult) -> List[str]:
+    """Lemma 7 / Theorem 5's potential on every recorded round."""
+    return [
+        violation
+        for record in result.records
+        for violation in potential_violations(record)
+    ]
 
 
 def check_moves_bounded_by_paths(result: RunResult) -> List[str]:
@@ -153,7 +195,10 @@ def verify_run(
 
     ``expect_paper_invariants`` should be False for runs with crashes,
     semi-synchronous schedules, or non-canonical algorithms -- the model
-    checks still apply, the Lemma 7 family does not.
+    checks still apply.  A crash run is refused rather than checked: the
+    potential is crash-aware, but :func:`check_moves_bounded_by_paths` is
+    not (a crash after Compute can empty a node that sent a robot away);
+    check such a run with :func:`check_potential`.
     """
     violations = check_round_indices(result)
     violations += check_robots_conserved(result)
@@ -165,8 +210,6 @@ def verify_run(
                 "paper invariants are fault-free statements; pass "
                 "expect_paper_invariants=False for faulty runs"
             )
-        violations += check_occupied_monotone(result)
-        if result.reason is not TerminationReason.ALREADY_DISPERSED:
-            violations += check_progress_every_round(result)
+        violations += check_potential(result)
         violations += check_moves_bounded_by_paths(result)
     return violations

@@ -6,14 +6,7 @@ import pytest
 
 import repro
 from repro.adversary.star_lower_bound import StarStarAdversary
-from repro.analysis.bounds import (
-    check_faulty_rounds_bound,
-    check_memory_logarithmic,
-    check_monotone_progress,
-    check_rounds_upper_bound,
-    max_new_nodes_per_round,
-    min_new_nodes_per_round,
-)
+from repro.analysis.bounds import check_rounds_upper_bound
 from repro.analysis.experiments import (
     faults_specs,
     rounds_vs_k_specs,
@@ -26,6 +19,7 @@ from repro.graph.dynamic import RandomChurnDynamicGraph
 from repro.robots.faults import CrashSchedule
 from repro.robots.robot import RobotSet
 from repro.sim.engine import SimulationEngine
+from repro.sim.invariants import check_potential
 
 
 def _churn_run(n, seed, k, **engine_kwargs):
@@ -39,19 +33,13 @@ def _churn_run(n, seed, k, **engine_kwargs):
 
 
 class TestBounds:
-    def test_memory_check(self):
-        assert check_memory_logarithmic({8: 4, 64: 7, 1024: 11})
-        assert not check_memory_logarithmic({8: 50})
-
-    def test_rounds_bound_rejects_faulty_runs(self):
+    def test_rounds_bound_holds_on_faulty_runs(self):
         k, n = 8, 12
         schedule = CrashSchedule.random_schedule(k, 2, 2, random.Random(0))
         result = _churn_run(n, 0, k, crash_schedule=schedule)
-        with pytest.raises(ValueError):
-            check_rounds_upper_bound(result)
-        with pytest.raises(ValueError):
-            check_monotone_progress(result)
-        assert check_faulty_rounds_bound(result)
+        assert result.crashed_robots
+        assert check_rounds_upper_bound(result)  # rounds <= k - alpha_0
+        assert check_potential(result) == []
 
     def test_progress_extrema(self):
         result = SimulationEngine(
@@ -59,8 +47,9 @@ class TestBounds:
             RobotSet.rooted(8, 12),
             DispersionDynamic(),
         ).run()
-        assert max_new_nodes_per_round(result) == 1
-        assert min_new_nodes_per_round(result) == 1
+        progress = result.progress_per_round()
+        assert max(progress) == 1
+        assert min(progress) == 1
 
 
 class TestExperimentRunners:
@@ -182,6 +171,13 @@ class TestCampaign:
         assert "Figure 2" in rendered
         assert "scheduler models" in rendered
         assert "[PASS]" in rendered and "[FAIL]" not in rendered
+
+    def test_report_names_engine_backend_and_runner(self, quick_campaign):
+        """``backend`` is the engine backend (the default when none is
+        pinned), ``runner`` the runner that executed the grids."""
+        data = quick_campaign.to_dict()
+        assert data["backend"] == "reference"
+        assert data["runner"] == "serial"
 
     def test_rejects_unknown_scale(self):
         from repro.analysis.campaign import run_campaign

@@ -10,9 +10,11 @@ surface (``backend`` field digests, ``repro.run(backend=...)``, CLI
 flags, unknown-name failures).  A Hypothesis differential test extends
 the grid to generated specs over every registered algorithm; a second
 strategy draws only fault-free FSYNC Algorithm 4 runs and checks
-Theorem 4's ``k - initial_occupied`` round bound on every example; and a
-construction count pins that runs outside the array path build no
-arrays at all.
+Theorem 4's ``k - initial_occupied`` round bound on every example; a
+third draws crash schedules (up to ``k - 1`` crashes, any round, both
+phases) and checks that bound and Lemma 7's potential under crashes
+(Theorem 5); and a construction count pins that runs outside the array
+path build no arrays at all.
 """
 
 import copy
@@ -24,9 +26,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.analysis.bounds import check_rounds_upper_bound
 from repro.core.dispersion import DispersionDynamic
 from repro.graph.dynamic import StaticDynamicGraph
 from repro.graph.generators import FAMILY_BUILDERS
+from repro.robots.memory import bound_bits
 from repro.sim import backend_vectorized
 from repro.sim.backend import EngineBackend, ReferenceBackend
 from repro.sim.backend_vectorized import (
@@ -368,9 +372,55 @@ class TestTheorem4Generated:
             reference.rounds <= spec.placement.k - reference.initial_occupied
         ), spec.to_json()
         assert checker.clean, (checker.violations, spec.to_json())
-        assert reference.max_persistent_bits == spec.placement.k.bit_length(), (
+        assert reference.max_persistent_bits == bound_bits(spec.placement.k), (
             spec.to_json()
         )
+
+
+@st.composite
+def theorem5_specs(draw):
+    """A :func:`theorem4_specs` run plus a drawn crash schedule: Theorem 5.
+
+    ``f`` in ``[0, k - 1]`` distinct victims, each crashing in a round of
+    ``[0, k]`` in either phase, so crashes strike early, late and after
+    the run has ended.  The budget of at least ``k`` rounds still cannot
+    run out: the potential bound is ``k - initial_occupied``.
+    """
+    spec = draw(theorem4_specs())
+    k = spec.placement.k
+    victims = draw(st.permutations(range(1, k + 1)))
+    events = tuple(
+        (robot, draw(st.integers(0, k)), draw(st.sampled_from(
+            ["before_communicate", "after_compute"]
+        )))
+        for robot in sorted(victims[:draw(st.integers(0, k - 1))])
+    )
+    return spec.with_(crash=CrashSpec(kind="events", events=events))
+
+
+class TestTheorem5Generated:
+    @given(theorem5_specs())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_crash_runs_meet_the_potential_bound(self, spec):
+        # Lemma 7 with crashes: U = alive - occupied falls every round and
+        # only an after-Compute crash may vacate a node (checked live on
+        # the reference run), so rounds <= k - initial_occupied.
+        checker = LiveInvariantChecker()
+        reference = build_engine(spec, observers=[checker]).run()
+        vectorized = execute(spec.with_(backend=VECTORIZED))
+        assert run_fingerprint(reference) == run_fingerprint(vectorized), (
+            spec.to_json()
+        )
+        assert reference.dispersed, spec.to_json()
+        assert check_rounds_upper_bound(reference), spec.to_json()
+        assert checker.clean, (checker.violations, spec.to_json())
+        # Lemma 8 over the executed rounds: a run that round-0 crashes
+        # leave dispersed executes none and reports 0 bits.
+        if reference.rounds:
+            assert (
+                reference.max_persistent_bits
+                == bound_bits(spec.placement.k)
+            ), spec.to_json()
 
 
 # ----------------------------------------------------------------------

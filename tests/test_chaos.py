@@ -368,10 +368,8 @@ class TestCampaignFailureReporting:
         assert report.to_dict()["failures"] == report.failures
         assert "faults tolerated" in report.render()
 
-    def test_clean_campaign_reports_no_failures(self):
-        from repro.analysis.campaign import run_campaign
-
-        report = run_campaign("quick")
+    def test_clean_campaign_reports_no_failures(self, quick_campaign):
+        report = quick_campaign
         assert report.failures == []
         assert report.to_dict()["failures"] == []
 

@@ -9,10 +9,7 @@ import random
 
 import pytest
 
-from repro.analysis.bounds import (
-    check_monotone_progress,
-    check_rounds_upper_bound,
-)
+from repro.analysis.bounds import check_rounds_upper_bound
 from repro.core.dispersion import DispersionDynamic
 from repro.graph import generators as gen
 from repro.graph.dynamic import (
@@ -23,6 +20,7 @@ from repro.graph.dynamic import (
 )
 from repro.robots.robot import RobotSet
 from repro.sim.engine import SimulationEngine
+from repro.sim.invariants import check_potential
 from repro.sim.metrics import TerminationReason
 
 
@@ -51,7 +49,7 @@ class TestStaticFamilies:
         result = run(StaticDynamicGraph(snap), RobotSet.rooted(k, snap.n))
         assert result.dispersed, name
         assert check_rounds_upper_bound(result), (name, result.rounds)
-        assert check_monotone_progress(result), name
+        assert check_potential(result) == [], name
 
     @pytest.mark.parametrize("name,builder", STATIC_FAMILIES)
     def test_arbitrary_dispersal(self, name, builder):
@@ -94,7 +92,7 @@ class TestDynamicGraphs:
         result = run(dyn, RobotSet.rooted(k, n))
         assert result.dispersed
         assert check_rounds_upper_bound(result)
-        assert check_monotone_progress(result)
+        assert check_potential(result) == []
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_churn_arbitrary(self, seed):

@@ -174,9 +174,11 @@ class TestProvidedObservers:
         checker.on_round_end(
             SimpleNamespace(
                 round_index=0,
+                positions_before={1: 0, 2: 0, 3: 1},
+                positions_after={1: 0, 2: 0, 3: 0},
+                crashed_after_compute=(),
                 occupied_before=frozenset({0, 1}),
                 occupied_after=frozenset({0}),
-                newly_occupied=frozenset(),
             )
         )
         assert not checker.clean

@@ -11,9 +11,10 @@ from repro.robots.faults import CrashSchedule
 from repro.robots.robot import RobotSet
 from repro.sim.engine import SimulationEngine
 from repro.sim.invariants import (
+    PotentialViolation,
     check_moves_cross_edges,
-    check_occupied_monotone,
-    check_progress_every_round,
+    check_potential,
+    check_potential_round,
     check_robots_conserved,
     check_round_indices,
     verify_run,
@@ -74,12 +75,9 @@ class TestSemiSyncRuns:
         ).run()
         assert result.dispersed
         assert verify_run(result, expect_paper_invariants=False) == []
-        # the Lemma 7 family is expected to be violated somewhere under
-        # sparse activation (the E5 finding)
-        lemma7 = check_occupied_monotone(result) + check_progress_every_round(
-            result
-        )
-        assert lemma7  # at least one violation recorded
+        # Lemma 7's potential is expected to stall somewhere under sparse
+        # activation (the E5 finding)
+        assert check_potential(result)  # at least one violation recorded
 
 
 class TestDetectors:
@@ -138,11 +136,65 @@ class TestDetectors:
             }
 
         result = self.corrupted(mutate)
-        assert check_occupied_monotone(result)
+        assert any("vacated" in v for v in check_potential(result))
 
     def test_zero_progress_detected(self):
         def mutate(record):
             return {"occupied_after": record.occupied_before}
 
         result = self.corrupted(mutate)
-        assert check_progress_every_round(result)
+        assert any("did not fall" in v for v in check_potential(result))
+
+    @staticmethod
+    def lone_robot_crash(record):
+        """``record`` with one lone robot that stayed put crashing after
+        Compute: its node empties, and U falls exactly as before."""
+        before = record.positions_before
+        loads = {}
+        for node in before.values():
+            loads[node] = loads.get(node, 0) + 1
+        robot = next(
+            r for r, node in sorted(before.items())
+            if loads[node] == 1 and record.positions_after[r] == node
+            and list(record.positions_after.values()).count(node) == 1
+        )
+        positions = dict(record.positions_after)
+        node = positions.pop(robot)
+        return dataclasses.replace(
+            record,
+            positions_after=positions,
+            occupied_after=record.occupied_after - {node},
+            crashed_after_compute=(robot,),
+        )
+
+    def settled_round(self):
+        """A clean round that starts with a lone robot and makes progress."""
+        result = canonical_run(7)
+        record = next(
+            r for r in result.records
+            if len(r.occupied_before) >= 2 and r.newly_occupied
+        )
+        assert check_potential_round(record) == PotentialViolation.NONE
+        return record
+
+    def test_after_compute_crash_may_vacate(self):
+        crashed = self.lone_robot_crash(self.settled_round())
+        assert not crashed.occupied_before <= crashed.occupied_after
+        assert check_potential_round(crashed) == PotentialViolation.NONE
+
+    def test_vacating_without_crash_flagged(self):
+        crashed = self.lone_robot_crash(self.settled_round())
+        record = dataclasses.replace(crashed, crashed_after_compute=())
+        assert check_potential_round(record) == PotentialViolation.VACATED
+
+    def test_potential_stall_flagged(self):
+        record = self.settled_round()
+        # every move undone: U stays where it was although a robot crashed
+        stalled = self.lone_robot_crash(dataclasses.replace(
+            record,
+            positions_after=dict(record.positions_before),
+            occupied_after=record.occupied_before,
+        ))
+        assert (
+            check_potential_round(stalled) == PotentialViolation.NO_PROGRESS
+        )

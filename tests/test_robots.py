@@ -6,13 +6,7 @@ import random
 import pytest
 
 from repro.robots.faults import CrashEvent, CrashPhase, CrashSchedule
-from repro.robots.memory import (
-    bits_for_state,
-    bits_for_value,
-    robot_id_bits,
-    summarize_memory,
-    theoretical_memory_bound,
-)
+from repro.robots.memory import bits_for_state, bits_for_value, bound_bits
 from repro.robots.robot import RobotSet, validate_robot_ids
 
 
@@ -87,14 +81,14 @@ class TestRobotSet:
 
 class TestMemoryAccounting:
     def test_robot_id_bits(self):
-        assert robot_id_bits(1) == 1
-        assert robot_id_bits(2) == 1
-        assert robot_id_bits(16) == 4
-        assert robot_id_bits(17) == 5
-
-    def test_robot_id_bits_rejects_zero(self):
-        with pytest.raises(ValueError):
-            robot_id_bits(0)
+        """A robot ID from [1, k] costs ``bound_bits(k)``: the width the
+        engine's audit charges (5 bits for k = 16, not ceil(log2 16))."""
+        assert bound_bits(1) == 1
+        assert bound_bits(2) == 2
+        assert bound_bits(15) == 4
+        assert bound_bits(16) == 5
+        assert bound_bits(17) == 5
+        assert bits_for_state({"id": 16}, bounds={"id": 16}) == bound_bits(16)
 
     def test_bool_is_one_bit(self):
         assert bits_for_value(True) == 1
@@ -154,13 +148,6 @@ class TestMemoryAccounting:
     def test_bits_for_state(self):
         state = {"id": 5, "settled": True}
         assert bits_for_state(state, bounds={"id": 16}) == 5 + 1
-
-    def test_theoretical_bound_monotone(self):
-        assert theoretical_memory_bound(64) > theoretical_memory_bound(8)
-
-    def test_summarize_memory(self):
-        assert summarize_memory({1: 4, 2: 8}) == (8, 6.0)
-        assert summarize_memory({}) == (0, 0.0)
 
 
 class TestCrashSchedule:
