@@ -13,13 +13,11 @@ context; the worst-case adversaries in :mod:`repro.adversary` use it.
 
 from __future__ import annotations
 
-import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Optional, Sequence, Set, Tuple
 
 from repro.graph.snapshot import GraphSnapshot
-from repro.graph.generators import add_chords, random_tree, spanning_tree_edges
 
 
 @dataclass
@@ -136,15 +134,143 @@ class SequenceDynamicGraph(DynamicGraph):
         return self._snapshots[round_index % len(self._snapshots)]
 
 
+# ----------------------------------------------------------------------
+# The churn sampler
+# ----------------------------------------------------------------------
+#
+# Both churn processes draw each round from its own PCG64 stream, keyed by
+# ``(seed, stream tag, index)``, so a round is a pure function of its key
+# (plus, under persistence, the previous round's edges).  An edge is the
+# int64 key ``u * n + v`` with ``u < v``.  Only uniform doubles are drawn,
+# from ``PCG64.random_raw`` (bit-generator streams are stable across numpy
+# releases; the ``Generator`` methods are not), and every sort whose order
+# among equal values could reach the stream is stable.  numpy is imported
+# inside these functions, not at module level, so ``import repro`` (and the
+# lint CLI, which loads this module) stays numpy-free.
+
+#: Stream tags: a random-churn round, a T-interval block tree, a T-interval
+#: round.
+_CHURN_STREAM, _TREE_STREAM, _ROUND_STREAM = 0, 1, 2
+
+#: Up to this many ordered node pairs (``n * n``), listing every non-edge
+#: costs less than the fixed overhead of rejection sampling chords.
+_ENUMERATE_PAIRS = 1024
+
+
+def _uniform_stream(seed: int, stream: int, index: int) -> Callable[[int], Any]:
+    """``uniform(size)``: the next ``size`` doubles in ``[0, 1)`` of the
+    PCG64 stream keyed by ``(seed, stream, index)``."""
+    import numpy as np
+
+    # SeedSequence takes non-negative entropy: fold the sign in (zigzag).
+    entropy = 2 * seed if seed >= 0 else -2 * seed - 1
+    bits = np.random.PCG64(np.random.SeedSequence((entropy, stream, index)))
+    shift = np.uint64(11)
+
+    def uniform(size: int) -> Any:
+        return (bits.random_raw(size) >> shift) * 2.0**-53
+
+    return uniform
+
+
+def _tree_keys(n: int, uniform: Callable[[int], Any]) -> Any:
+    """The sorted keys of a random recursive tree over a uniform node
+    order: the ``i``-th node in the order hangs from one of the first
+    ``i``, uniformly."""
+    import numpy as np
+
+    draws = uniform(2 * n - 1)
+    order = np.argsort(draws[:n], kind="stable")
+    parents = order[(draws[n:] * np.arange(1, n)).astype(np.int64)]
+    children = order[1:]
+    return np.sort(
+        np.minimum(parents, children) * n + np.maximum(parents, children)
+    )
+
+
+def _member(keys: Any, probe: Any) -> Any:
+    """Which of ``probe`` are in the sorted, non-empty key array ``keys``."""
+    import numpy as np
+
+    at = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+    return keys[at] == probe
+
+
+def _union(keys: Any, more: Any) -> Any:
+    """The sorted union of two key arrays."""
+    import numpy as np
+
+    union = np.sort(np.concatenate((keys, more)))
+    fresh = np.ones(len(union), dtype=bool)
+    fresh[1:] = union[1:] != union[:-1]
+    return union[fresh]
+
+
+def _with_chords(
+    n: int, keys: Any, extra_edges: int, uniform: Callable[[int], Any]
+) -> Any:
+    """The sorted ``keys`` followed by ``extra_edges`` uniform distinct
+    non-edges (every non-edge if fewer remain), in draw order."""
+    import numpy as np
+
+    free = n * (n - 1) // 2 - len(keys)
+    need = min(extra_edges, free)
+    if need <= 0:
+        return keys
+    if n * n <= _ENUMERATE_PAIRS or 2 * need >= free:
+        # Small or nearly saturated: shuffle every non-edge and take a
+        # prefix (rejection sampling would cost more, or stall).
+        cells = np.arange(n * n)
+        pool = cells[cells // n < cells % n]
+        pool = pool[~_member(keys, pool)]
+        chords = pool[np.argsort(uniform(len(pool)), kind="stable")[:need]]
+        return np.concatenate((keys, chords))
+    chords = keys[:0]
+    while len(chords) < need:
+        # Oversample by the expected rejection rate, then keep the first
+        # occurrence of every new non-edge, in draw order.
+        missing = need - len(chords)
+        draws = missing * (free + len(keys)) // (free - len(chords)) + 8
+        ends = uniform(2 * draws)
+        u = (ends[:draws] * n).astype(np.int64)
+        v = (ends[draws:] * (n - 1)).astype(np.int64)
+        v += v >= u
+        drawn = np.minimum(u, v) * n + np.maximum(u, v)
+        drawn = np.concatenate((chords, drawn[~_member(keys, drawn)]))
+        _, first = np.unique(drawn, return_index=True)
+        chords = drawn[np.sort(first)][:need]
+    return np.concatenate((keys, chords))
+
+
+def _port_labelled(
+    n: int, keys: Any, uniform: Callable[[int], Any]
+) -> GraphSnapshot:
+    """The snapshot of edge ``keys`` with a uniform port permutation at
+    every node."""
+    import numpy as np
+
+    low, high = np.divmod(keys, n)
+    sources = np.concatenate((low, high))
+    targets = np.concatenate((high, low))
+    # Sources as the narrowest type numpy radix-sorts (16 bits) when it fits.
+    narrow = sources.astype(np.int16) if n <= 1 << 15 else sources
+    order = np.lexsort((uniform(len(sources)), narrow))
+    indptr = np.bincount(sources, minlength=n).cumsum()
+    return GraphSnapshot(n, [0] + indptr.tolist(), targets[order].tolist())
+
+
 class RandomChurnDynamicGraph(DynamicGraph):
     """Oblivious random churn: a fresh random connected graph every round.
 
-    Each round's graph is a random spanning tree plus ``extra_edges`` random
-    chords, with optional edge persistence: every non-tree edge of the
-    previous round survives independently with probability
-    ``persistence``.  Port labels are re-randomized every round (the model
-    gives them no cross-round meaning).  Snapshots are cached so repeated
-    queries for a round agree.
+    Each round's graph is a random recursive spanning tree over a uniform
+    node order plus ``extra_edges`` uniform distinct chords (fewer only
+    when the graph saturates), with optional edge persistence: every edge
+    of the previous round that is not in the new tree survives
+    independently with probability ``persistence``.  Port labels are a
+    uniform permutation at every node, redrawn every round (the model
+    gives them no cross-round meaning).  Only the last round queried is
+    kept: an earlier one is drawn again, from its own stream, or from
+    round 0 on under persistence, and equals the first draw.
     """
 
     def __init__(
@@ -163,28 +289,41 @@ class RandomChurnDynamicGraph(DynamicGraph):
         self._extra_edges = extra_edges
         self._persistence = persistence
         self._seed = seed
-        self._cache: List[GraphSnapshot] = []
+        self._round = -1
+        self._snapshot: Optional[GraphSnapshot] = None
+        self._keys: Any = None
+        """The edge keys of round ``self._round``, as one int64 array."""
 
-    def _generate_next(self, rng: random.Random) -> GraphSnapshot:
-        edge_set = spanning_tree_edges(self._n, rng)
-        if self._persistence > 0.0 and self._cache:
-            # One draw per new edge, in edges() order: the order is part
-            # of the seeded stream, so it must not change.
-            for key in self._cache[-1]._edge_pairs():
-                if key not in edge_set and rng.random() < self._persistence:
-                    edge_set.add(key)
-        add_chords(self._n, edge_set, self._extra_edges, rng)
-        return GraphSnapshot.from_edges(self._n, edge_set, rng=rng)
+    def _draw(self, round_index: int) -> GraphSnapshot:
+        """Round ``round_index``, given ``self._keys`` of the round before
+        (``None`` before round 0 or without persistence)."""
+        uniform = _uniform_stream(self._seed, _CHURN_STREAM, round_index)
+        keys = _tree_keys(self._n, uniform)
+        if self._keys is not None:
+            kept = self._keys[~_member(keys, self._keys)]
+            keys = _union(keys, kept[uniform(len(kept)) < self._persistence])
+        edges = _with_chords(self._n, keys, self._extra_edges, uniform)
+        if self._persistence > 0.0:
+            self._keys = edges
+        return _port_labelled(self._n, edges, uniform)
 
     def snapshot(
         self, round_index: int, context: Optional[RoundContext] = None
     ) -> GraphSnapshot:
         if round_index < 0:
             raise ValueError("round_index must be >= 0")
-        while len(self._cache) <= round_index:
-            rng = random.Random(f"{self._seed}:churn:{len(self._cache)}")
-            self._cache.append(self._generate_next(rng))
-        return self._cache[round_index]
+        if round_index != self._round:
+            first = round_index
+            if self._persistence > 0.0:
+                # Each round extends the one before it.
+                first = self._round + 1
+                if first > round_index:
+                    first, self._keys = 0, None
+            for r in range(first, round_index + 1):
+                self._snapshot = self._draw(r)
+            self._round = round_index
+        assert self._snapshot is not None
+        return self._snapshot
 
 
 class TIntervalChurnDynamicGraph(DynamicGraph):
@@ -197,7 +336,9 @@ class TIntervalChurnDynamicGraph(DynamicGraph):
     every snapshot in the window contains the tree of block ``j+1``, so the
     window's intersection graph is connected: the process is T-interval
     connected by construction.  With ``T = 1`` this degenerates to ordinary
-    1-interval churn.
+    1-interval churn.  Every block tree and every round has its own seeded
+    stream, so rounds may be queried in any order; only the last round
+    queried is kept, and an earlier one drawn again equals the first draw.
     """
 
     def __init__(
@@ -211,19 +352,20 @@ class TIntervalChurnDynamicGraph(DynamicGraph):
         self._interval = interval
         self._extra_edges = extra_edges
         self._seed = seed
-        self._cache: Dict[int, GraphSnapshot] = {}
-        self._block_trees: Dict[int, FrozenSet[Tuple[int, int]]] = {}
+        self._round = -1
+        self._snapshot: Optional[GraphSnapshot] = None
+        self._block_trees: Dict[int, Any] = {}
 
     @property
     def interval(self) -> int:
         """The connectivity interval T."""
         return self._interval
 
-    def _block_tree(self, block: int) -> FrozenSet[Tuple[int, int]]:
+    def _block_tree(self, block: int) -> Any:
         if block not in self._block_trees:
-            rng = random.Random(f"{self._seed}:tree:{block}")
-            tree = random_tree(self._n, rng)
-            self._block_trees[block] = frozenset(tree._edge_pairs())
+            self._block_trees[block] = _tree_keys(
+                self._n, _uniform_stream(self._seed, _TREE_STREAM, block)
+            )
         return self._block_trees[block]
 
     def snapshot(
@@ -231,16 +373,17 @@ class TIntervalChurnDynamicGraph(DynamicGraph):
     ) -> GraphSnapshot:
         if round_index < 0:
             raise ValueError("round_index must be >= 0")
-        if round_index not in self._cache:
+        if round_index != self._round:
             block = round_index // self._interval
-            edge_set = set(self._block_tree(block))
-            edge_set |= self._block_tree(block + 1)
-            rng = random.Random(f"{self._seed}:round:{round_index}")
-            add_chords(self._n, edge_set, self._extra_edges, rng)
-            self._cache[round_index] = GraphSnapshot.from_edges(
-                self._n, edge_set, rng=rng
+            keys = _union(
+                self._block_tree(block), self._block_tree(block + 1)
             )
-        return self._cache[round_index]
+            uniform = _uniform_stream(self._seed, _ROUND_STREAM, round_index)
+            edges = _with_chords(self._n, keys, self._extra_edges, uniform)
+            self._snapshot = _port_labelled(self._n, edges, uniform)
+            self._round = round_index
+        assert self._snapshot is not None
+        return self._snapshot
 
     def stable_subgraph_edges(
         self, start_round: int
@@ -254,7 +397,10 @@ class TIntervalChurnDynamicGraph(DynamicGraph):
         carry the trees of blocks ``j + 1`` and ``j + 2``.  Exposed for
         tests of the T-interval property.
         """
-        return self._block_tree(start_round // self._interval + 1)
+        keys = self._block_tree(start_round // self._interval + 1)
+        return frozenset(
+            (int(key) // self._n, int(key) % self._n) for key in keys
+        )
 
 
 class FunctionalDynamicGraph(DynamicGraph):

@@ -501,11 +501,17 @@ class SimulationEngine:
                     self._algorithm.detects_termination(observations[rid])
                     for rid in state.honest_positions(byzantine)
                 )
+                # Crashes that disperse the robots before round 0 executes
+                # leave no round audited: audit the state, as an
+                # already-dispersed start does.
                 return self._result(
                     TerminationReason.DISPERSED,
                     rounds=round_index,
                     total_moves=total_moves,
-                    max_bits=max_bits,
+                    max_bits=(
+                        max_bits if round_index
+                        else self._backend.audit_memory(state)
+                    ),
                     detected=detected,
                 )
 

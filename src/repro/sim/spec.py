@@ -58,7 +58,7 @@ SPEC_FORMAT_VERSION = 1
 #: change alters what :func:`execute` returns for an unchanged spec (RNG
 #: streams, tie-breaks, metrics), so persisted results keyed under the old
 #: salt become unreachable instead of silently stale.
-CODE_VERSION_SALT = f"spec{SPEC_FORMAT_VERSION}:results1"
+CODE_VERSION_SALT = f"spec{SPEC_FORMAT_VERSION}:results2"
 
 #: The digest-stability contract, machine-checked by ``repro lint
 #: --all`` (rules S001/S002 in :mod:`repro.lint.deep.contracts`).

@@ -9,9 +9,11 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pathlib
 import pkgutil
 import re
+import subprocess
 import sys
 import sysconfig
 
@@ -269,3 +271,24 @@ def test_every_third_party_import_is_declared():
         if top != "repro" and top not in declared and not _is_stdlib(top)
     }
     assert not undeclared, undeclared
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.lint.cli"])
+def test_import_leaves_numpy_unloaded(module):
+    """numpy loads where arrays are first built, not at import: the lint
+    CLI imports ``repro.graph.dynamic`` but never draws a churn round,
+    so it must not pay numpy's import time at start-up."""
+    src = pathlib.Path(repro.__file__).resolve().parent.parent
+    probe = (
+        f"import sys, {module}; "
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'); "
+        "assert not loaded, loaded"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr[-2000:]

@@ -110,11 +110,12 @@ class TestRandomChurn:
         sticky = RandomChurnDynamicGraph(
             20, extra_edges=15, persistence=1.0, seed=4
         )
-        prev = {(e.u, e.v) for e in sticky.snapshot(0).edges()}
-        cur = {(e.u, e.v) for e in sticky.snapshot(1).edges()}
-        # with persistence=1 all previous edges survive
-        assert prev <= cur | prev  # trivially true
-        assert len(prev & cur) >= len(prev) - 19  # tree edges may replace
+        # with persistence=1 every edge of a round survives into the next
+        previous = set(sticky.snapshot(0)._edge_pairs())
+        for r in range(1, 6):
+            current = set(sticky.snapshot(r)._edge_pairs())
+            assert previous <= current, r
+            previous = current
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
@@ -123,6 +124,116 @@ class TestRandomChurn:
             RandomChurnDynamicGraph(5, persistence=1.5)
         with pytest.raises(ValueError):
             RandomChurnDynamicGraph(5).snapshot(-1)
+
+
+def _assert_ports_are_permutations(snap):
+    """Re-validate the snapshot's port structure: ports ``1..degree`` at
+    every node, symmetric, no loops or parallel edges."""
+    rebuilt = GraphSnapshot.from_port_maps(
+        snap.n, [snap.port_map(v) for v in snap.nodes()]
+    )
+    assert rebuilt == snap
+
+
+class TestChurnSampler:
+    """Properties of the one numpy sampler behind both churn processes."""
+
+    @pytest.mark.parametrize(
+        "n,extra_edges",
+        [(1, 3), (2, 0), (3, 5), (5, 4), (6, 15), (8, 20), (14, 7), (40, 20),
+         (96, 48)],
+    )
+    def test_exact_edge_count_connected_ports(self, n, extra_edges):
+        dyn = RandomChurnDynamicGraph(n, extra_edges=extra_edges, seed=n)
+        for r in range(6):
+            snap = dyn.snapshot(r)
+            assert snap.num_edges == min(
+                n - 1 + extra_edges, n * (n - 1) // 2
+            ), (n, extra_edges, r)
+            assert snap.is_connected()
+            _assert_ports_are_permutations(snap)
+
+    @pytest.mark.parametrize("n,extra_edges", [(4, 6), (12, 5), (30, 40)])
+    def test_t_interval_rounds_connected_with_valid_ports(self, n, extra_edges):
+        dyn = TIntervalChurnDynamicGraph(
+            n, interval=2, extra_edges=extra_edges, seed=3
+        )
+        for r in range(6):
+            snap = dyn.snapshot(r)
+            assert snap.is_connected()
+            _assert_ports_are_permutations(snap)
+
+    def test_t_interval_queried_out_of_order(self):
+        """Every round has its own stream: a fresh instance asked for the
+        rounds backwards returns the same snapshots."""
+        forward = TIntervalChurnDynamicGraph(
+            11, interval=3, extra_edges=4, seed=8
+        )
+        backward = TIntervalChurnDynamicGraph(
+            11, interval=3, extra_edges=4, seed=8
+        )
+        expected = [forward.snapshot(r) for r in range(10)]
+        assert [backward.snapshot(r) for r in reversed(range(10))] == (
+            expected[::-1]
+        )
+
+    @pytest.mark.parametrize("persistence", [0.0, 0.5])
+    def test_random_churn_requeried_out_of_order(self, persistence):
+        """Only the last round is kept: an earlier round is drawn again
+        (from round 0 on under persistence) and equals the first draw."""
+        def churn():
+            return RandomChurnDynamicGraph(
+                11, extra_edges=4, persistence=persistence, seed=8
+            )
+
+        dyn = churn()
+        expected = [dyn.snapshot(r) for r in range(8)]
+        dyn = churn()
+        for r in (5, 2, 7, 0, 3, 3, 6, 1, 4):
+            assert dyn.snapshot(r) == expected[r], r
+
+    def test_negative_seeds_are_distinct_streams(self):
+        snaps = {
+            seed: RandomChurnDynamicGraph(9, extra_edges=3, seed=seed)
+            .snapshot(0) for seed in (-2, -1, 0, 1)
+        }
+        assert len(set(snaps.values())) == 4
+
+    def test_tree_and_ports_are_uniform_on_three_nodes(self):
+        """n = 3, no chords: each round is a path, each node is its
+        center a third of the time, and the center's two port orders
+        are equally likely."""
+        dyn = RandomChurnDynamicGraph(3, seed=9)
+        centers, orders = {}, {}
+        for r in range(600):
+            snap = dyn.snapshot(r)
+            (center,) = [v for v in snap.nodes() if snap.degree(v) == 2]
+            centers[center] = centers.get(center, 0) + 1
+            first = snap.neighbors(center)[0] < snap.neighbors(center)[1]
+            orders[first] = orders.get(first, 0) + 1
+        assert all(150 <= centers[v] <= 250 for v in range(3)), centers
+        assert all(240 <= orders[flag] <= 360 for flag in (True, False))
+
+    def test_tree_is_a_random_recursive_tree(self):
+        """On four nodes a random recursive tree is a star with
+        probability 1/3 (a uniform labelled tree: 1/4, a fixed star or
+        path: 1 or 0)."""
+        dyn = RandomChurnDynamicGraph(4, seed=9)
+        stars = sum(
+            max(dyn.snapshot(r).degree(v) for v in range(4)) == 3
+            for r in range(600)
+        )
+        assert 165 <= stars <= 235, stars
+
+    def test_pinned_csr(self):
+        """One small round, every draw of the sampler in it (tree,
+        persistence, chords, ports): catches a numpy release that changes
+        the bit stream or a sort."""
+        dyn = RandomChurnDynamicGraph(6, extra_edges=2, persistence=0.5, seed=1)
+        assert dyn.snapshot(1).csr() == (
+            (0, 2, 4, 7, 12, 15, 18),
+            (4, 3, 3, 2, 3, 1, 5, 1, 5, 4, 2, 0, 0, 5, 3, 4, 3, 2),
+        )
 
 
 class TestTIntervalChurn:
@@ -213,11 +324,12 @@ class TestValidation:
 class TestOrderSensitivePins:
     """Values that depend on the order snapshots are built and walked in.
 
-    The persistence path draws one ``rng.random()`` per previous-round
-    edge in ``edges()`` order, and ports come from shuffling each node's
-    ascending neighbour list; any change to either order moves these
-    pins.  Run fingerprints cover both backends and the snapshots of every
-    round (``collect_snapshots``).
+    The churn sampler draws one uniform per previous-round edge outside
+    the new tree, in ascending edge-key order, and ports come from a
+    stable lexsort of each node's edges on uniform keys; any change to
+    either order, or to the order of the draws, moves these pins.  Run
+    fingerprints cover both backends and the snapshots of every round
+    (``collect_snapshots``).
     """
 
     @staticmethod
@@ -233,9 +345,10 @@ class TestOrderSensitivePins:
     @pytest.mark.parametrize(
         "persistence,expected",
         [
-            (0.5, "d024b24546c21c825b58766309a6cf5c3d6f07710efd71bfa2dd178ef245fa86"),
-            (1.0, "96257478d47b223a3fa67b493183a407d810b70e9d9d7da3ff784de4abbc04b5"),
+            (0.5, "e65ddcc3659c3b1fc2d469be049504dc5b6dab93fcffd30ac4aa4bb784c50000"),
+            (1.0, "786ea5eefbdc45d41dd5d88362ac4487e91d5251073c0097a5779aa13a5d7686"),
         ],
+        ids=["0.5", "1.0"],
     )
     def test_random_churn_persistence_fingerprint(self, persistence, expected):
         params = {"n": 14, "extra_edges": 7, "persistence": persistence, "seed": 5}
@@ -244,7 +357,7 @@ class TestOrderSensitivePins:
     def test_t_interval_churn_fingerprint(self):
         params = {"n": 14, "interval": 3, "extra_edges": 5, "seed": 5}
         assert self.fingerprints("t_interval_churn", params) == {
-            "2415d1ded66cbb2bec2a59f09d9e2f5d13aaaff616a08d5acbe6edab0910ba4c"
+            "1e4d694dfa71f95bc4f643b3861ca3eab120a5473f7830122b7805a257ab2544"
         }
 
     def test_relabeled_ports_snapshot_dict(self):
@@ -261,8 +374,8 @@ class TestOrderSensitivePins:
         """``edges()`` is u ascending, then u's port order -- not sorted by v."""
         dyn = RandomChurnDynamicGraph(7, extra_edges=4, persistence=0.5, seed=2)
         assert [(e.u, e.port_u, e.v, e.port_v) for e in dyn.snapshot(1).edges()] == [
-            (0, 1, 4, 3), (0, 2, 5, 5), (1, 1, 6, 1), (1, 2, 2, 2),
-            (1, 3, 5, 4), (2, 1, 4, 4), (2, 3, 5, 2), (2, 4, 6, 3),
-            (2, 5, 3, 2), (3, 1, 6, 2), (3, 3, 4, 2), (3, 4, 5, 1),
-            (4, 1, 6, 4), (5, 3, 6, 5),
+            (0, 1, 6, 2), (0, 2, 1, 1), (1, 2, 2, 4), (1, 3, 5, 2),
+            (1, 4, 3, 5), (2, 1, 6, 3), (2, 2, 4, 1), (2, 3, 3, 3),
+            (3, 1, 5, 3), (3, 2, 6, 5), (3, 4, 4, 2), (4, 3, 6, 4),
+            (5, 1, 6, 1),
         ]

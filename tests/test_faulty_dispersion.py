@@ -166,6 +166,31 @@ class TestFaultyMemory:
         assert result.dispersed
         assert result.max_persistent_bits == 6  # ceil(log2(32+1))
 
+    def test_memory_audited_when_round_zero_crashes_disperse(self):
+        """Crashes before round 0's Communicate that leave the robots
+        dispersed execute no round; the audit still reports the IDs'
+        width, as an already-dispersed start does."""
+        positions = {1: 0, 2: 0, 3: 1, 4: 2}
+        schedule = CrashSchedule(
+            [CrashEvent(2, 0, CrashPhase.BEFORE_COMMUNICATE)]
+        )
+        result = SimulationEngine(
+            StaticDynamicGraph(path_graph(4)),
+            positions,
+            DispersionDynamic(),
+            crash_schedule=schedule,
+        ).run()
+        assert result.reason is TerminationReason.DISPERSED
+        assert result.rounds == 0
+        assert result.max_persistent_bits == 3  # ceil(log2(4+1))
+        already = SimulationEngine(
+            StaticDynamicGraph(path_graph(4)),
+            {1: 0, 2: 1, 3: 2, 4: 3},
+            DispersionDynamic(),
+        ).run()
+        assert already.reason is TerminationReason.ALREADY_DISPERSED
+        assert already.max_persistent_bits == result.max_persistent_bits
+
 
 class TestFaithfulModeWithFaults:
     def test_faithful_equals_fast_under_crashes(self):
