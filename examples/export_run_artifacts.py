@@ -34,7 +34,7 @@ from repro.sim.traceio import (
     run_result_to_json,
 )
 
-OUT_DIR = pathlib.Path(__file__).resolve().parent / "run_artifacts"
+OUT_DIR = pathlib.Path("run_artifacts")
 
 
 def main() -> None:

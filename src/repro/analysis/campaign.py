@@ -209,17 +209,15 @@ def _find_caching_runner(runner: Runner) -> Optional[CachingRunner]:
 def _collect_failure_records(runner: Runner) -> List[Any]:
     """Every structured failure record held anywhere in the chain.
 
-    Duck-typed: any chain node -- or its ``store`` -- exposing a
-    ``failure_records`` sequence (the :mod:`repro.chaos` runners and
-    stores do) contributes, so the campaign needs no import of the
-    chaos package to surface tolerated faults.
+    Duck-typed: any chain node exposing a ``failure_records`` sequence
+    (the :class:`~repro.chaos.runner.ChaosPoolRunner` and the
+    :class:`~repro.sim.store.CachingRunner` do) contributes, so the
+    campaign needs no import of the chaos package to surface tolerated
+    faults.
     """
     records: List[Any] = []
     for node in _runner_chain(runner):
-        for source in (node, getattr(node, "store", None)):
-            found = getattr(source, "failure_records", None)
-            if found:
-                records.extend(found)
+        records.extend(getattr(node, "failure_records", None) or ())
     return records
 
 

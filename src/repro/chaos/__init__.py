@@ -5,21 +5,25 @@ adversary's per-round rewiring) treat faults as *schedulable events* the
 algorithm must survive; this package applies the same discipline to the
 reproduction's own infrastructure.  A :class:`~repro.chaos.plan.FaultPlan`
 -- pure data, like a :class:`~repro.sim.spec.RunSpec` -- names every
-fault to inject at four layers:
+fault to inject at three layers, each with one address:
 
-* **store** (:class:`~repro.chaos.fs.ChaosVFS`'s read path) -- corrupt
-  cache entries as the store reads them back; the store's integrity
-  layer must detect, quarantine and recompute;
 * **runner** (:class:`~repro.chaos.runner.ChaosPoolRunner`) -- crash,
-  hang or fail worker units; the pool's retry/restart machinery must
-  absorb the loss;
+  hang or fail the worker unit that holds the ``spec_index``-th spec;
+  the pool's retry/restart machinery must absorb the loss;
 * **engine** (:class:`~repro.chaos.engine_faults.PhaseFaultObserver`) --
-  raise from a named phase hook mid-run;
-* **filesystem** (:class:`~repro.chaos.fs.ChaosVFS`'s write path) --
-  sabotage the store's own writes at named syscall boundaries: ``EIO`` /
+  raise from a named phase hook while the ``spec_index``-th spec runs;
+* **filesystem** (:class:`~repro.chaos.fs.ChaosVFS`) -- the ``op_index``-th
+  match of a named store operation.  On the write path: ``EIO`` /
   ``ENOSPC``, torn writes, lost renames, and simulated crashes, with a
   page-cache model that materializes adversarial post-crash disk
-  images.
+  images.  On the read path (``op="read_bytes"``): corrupt a cache
+  entry as the store reads it back; the store's integrity layer must
+  detect, quarantine and recompute.
+
+Plans are ``format_version`` 2.  A version-1 plan is rejected: move each
+``store`` entry into ``fs`` with ``op="read_bytes"``, and address each
+runner fault by the ``spec_index`` its ``unit_index`` or
+``spec_digest`` meant.
 
 :func:`~repro.chaos.replay.replay_plan` replays a plan against the
 reproduction campaign (or any spec grid) and checks *bit-identical
@@ -61,8 +65,6 @@ from repro.chaos.plan import (
     PlanError,
     RUNNER_FAULT_KINDS,
     RunnerFault,
-    STORE_FAULT_KINDS,
-    StoreFault,
     plan_digest,
 )
 from repro.chaos.replay import (
@@ -99,8 +101,6 @@ __all__ = [
     "RUNNER_FAULT_KINDS",
     "RunnerFault",
     "SimulatedCrash",
-    "STORE_FAULT_KINDS",
-    "StoreFault",
     "VfsOp",
     "chaos_vfs_for_plan",
     "diff_failure_streams",

@@ -8,25 +8,25 @@ same path for the same workload, so a seeded
 :class:`~repro.chaos.plan.FsFault` -- or the crash-point harness's
 ``crash_at=k`` -- names one exact syscall boundary, deterministically.
 
-Three injection styles share the instance:
+Two injection styles share the instance:
 
 * **plan faults** -- each :class:`~repro.chaos.plan.FsFault` matched
   against ``(op name, writer tag)`` fires on its ``op_index``-th
-  matching op (and the ``times - 1`` matches after it): ``eio`` /
-  ``enospc`` raise the corresponding ``OSError`` *instead of*
-  performing the op (survivable -- the write path degrades gracefully),
-  ``torn_write`` persists a seeded partial prefix of the buffer and
-  raises :class:`SimulatedCrash`, ``lost_rename`` crashes with the
-  publish rename never applied, and ``crash`` crashes at the boundary
-  before the op takes effect.
+  matching op (and the ``times - 1`` matches after it).  On the write
+  path ``eio`` / ``enospc`` raise the corresponding ``OSError``
+  *instead of* performing the op (survivable -- the write path degrades
+  gracefully), ``torn_write`` persists a seeded partial prefix of the
+  buffer and raises :class:`SimulatedCrash`, ``lost_rename`` crashes
+  with the publish rename never applied, and ``crash`` crashes at the
+  boundary before the op takes effect.  On the read path
+  (``op="read_bytes"``) the corruption kinds damage the bytes of an
+  entry read that finds a stored entry (:func:`corrupt_entry_bytes`),
+  writing the damage back so quarantine keeps it.  Reads are counted
+  apart from the op stream: they are never crash points, and no
+  write-path fault (``op="any"`` included) matches them.
 * **crash-points** -- ``crash_at=k`` raises :class:`SimulatedCrash`
   immediately before op ``k`` executes, which is how the replay
   harness's crash matrix visits *every* boundary of a workload in turn.
-* **store faults** -- each :class:`~repro.chaos.plan.StoreFault`
-  damages the bytes of the ``op_index``-th entry read that finds a
-  stored entry (:func:`corrupt_entry_bytes`), writing the damage back
-  so quarantine keeps it.  Reads are counted apart from the op stream:
-  they are never crash points and never match an ``FsFault``.
 
 Beyond injecting, the shim *models the page cache*: writes are volatile
 until ``fsync_file``, renames until ``fsync_dir`` of the destination
@@ -57,10 +57,10 @@ import os
 import pathlib
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.chaos.failures import FailureRecord
-from repro.chaos.plan import FaultPlan, FsFault, StoreFault
+from repro.chaos.plan import FaultPlan, FsFault
 from repro.sim.store import VirtualFS
 
 #: The crash-image policies :meth:`ChaosVFS.apply_crash_image` can
@@ -99,14 +99,12 @@ class ChaosVFS(VirtualFS):
     """A :class:`~repro.sim.store.VirtualFS` with planned sabotage.
 
     ``faults`` are the plan's :class:`~repro.chaos.plan.FsFault`
-    entries and ``store_faults`` its
-    :class:`~repro.chaos.plan.StoreFault` entries, whose injections
-    accumulate in :attr:`failures`; ``seed`` drives every stochastic
-    choice (torn-write lengths, crash-image tear points, bit-flip
-    positions) through derived ``random.Random`` instances, never
-    ambient state.  ``crash_at`` arms the crash-point mode:
-    :class:`SimulatedCrash` is raised immediately before the op with
-    that stream index executes.
+    entries; read-fault injections accumulate in :attr:`failures`.
+    ``seed`` drives every stochastic choice (torn-write lengths,
+    crash-image tear points, bit-flip positions) through derived
+    ``random.Random`` instances, never ambient state.  ``crash_at`` arms
+    the crash-point mode: :class:`SimulatedCrash` is raised immediately
+    before the op with that stream index executes.
 
     One instance should serve one simulated process: the op counter,
     volatile-state model and fault budgets all reset with the instance.
@@ -116,19 +114,14 @@ class ChaosVFS(VirtualFS):
         self,
         faults: Sequence[FsFault] = (),
         *,
-        store_faults: Sequence[StoreFault] = (),
         seed: int = 0,
         crash_at: Optional[int] = None,
     ) -> None:
         self.faults = tuple(faults)
-        self.store_faults = tuple(store_faults)
         self.seed = seed
         self.crash_at = crash_at
         self.ops: List[VfsOp] = []
         self.failures: List[FailureRecord] = []
-        #: Entry reads that returned bytes so far (the store-fault
-        #: ``op_index`` counter; a cold miss never gets this far).
-        self._stored_reads = 0
         #: Ops that matched each fault so far (fault index -> count).
         self._matches: Dict[int, int] = {}
         #: Data written but not yet fsynced: path -> whether a
@@ -147,6 +140,24 @@ class ChaosVFS(VirtualFS):
     # Fault matching
     # ------------------------------------------------------------------
 
+    def _firing(
+        self, name: str, writer: str
+    ) -> Iterator[Tuple[int, FsFault, int, int]]:
+        """Count the op against every fault matching it; yield
+        ``(fault index, fault, match, firing)`` for those that fire."""
+        for fault_index, fault in enumerate(self.faults):
+            if not (
+                fault.op == name
+                or (fault.op == "any" and name != "read_bytes")
+            ):
+                continue
+            if fault.writer and fault.writer != writer:
+                continue
+            match = self._matches.get(fault_index, 0)
+            self._matches[fault_index] = match + 1
+            if fault.op_index <= match < fault.op_index + fault.times:
+                yield fault_index, fault, match, match - fault.op_index
+
     def _enter(self, name: str, path: pathlib.Path, writer: str) -> None:
         """Record the op, then fire any fault addressed to it."""
         index = len(self.ops)
@@ -155,16 +166,7 @@ class ChaosVFS(VirtualFS):
             raise SimulatedCrash(
                 f"crash-point {index}: before {name} {path}"
             )
-        for fault_index, fault in enumerate(self.faults):
-            if fault.op != "any" and fault.op != name:
-                continue
-            if fault.writer and fault.writer != writer:
-                continue
-            match = self._matches.get(fault_index, 0)
-            self._matches[fault_index] = match + 1
-            if not fault.op_index <= match < fault.op_index + fault.times:
-                continue
-            firing = match - fault.op_index
+        for fault_index, fault, _, firing in self._firing(name, writer):
             if fault.kind == "eio":
                 raise OSError(
                     errno.EIO, f"injected EIO (fs fault {fault_index})"
@@ -272,15 +274,15 @@ class ChaosVFS(VirtualFS):
         ]
 
     def read_bytes(self, path: pathlib.Path, *, writer: str = "") -> bytes:
-        """Read an entry, damaged first if a store fault targets it.
+        """Read an entry, damaged first if a read fault targets it.
 
-        Not an op of the stream: no crash point, no ``FsFault`` match.
+        Not an op of the stream: no crash point, and only
+        ``op="read_bytes"`` faults match.  A read that raises (a cold
+        miss) never gets as far as counting.
         """
         data = super().read_bytes(path, writer=writer)
-        op = self._stored_reads
-        self._stored_reads += 1
-        for index, fault in enumerate(self.store_faults):
-            if fault.op_index != op or not data:
+        for index, fault, match, _ in self._firing("read_bytes", writer):
+            if not data:
                 continue
             # The plan-level store seed (docs/robustness.md), not
             # _rng's "chaosfs:" scope: golden streams depend on it.
@@ -289,7 +291,7 @@ class ChaosVFS(VirtualFS):
             path.write_bytes(data)
             self.failures.append(
                 FailureRecord(
-                    unit=op,
+                    unit=match,
                     attempt=0,
                     kind="corrupt",
                     detail=(
@@ -404,8 +406,7 @@ def corrupt_entry_bytes(data: bytes, kind: str, rng: random.Random) -> bytes:
 
 
 def chaos_vfs_for_plan(plan: FaultPlan) -> Optional[ChaosVFS]:
-    """The :class:`ChaosVFS` a plan's ``fs`` and ``store`` layers call
-    for, if either is non-empty."""
-    if not plan.fs and not plan.store:
+    """The :class:`ChaosVFS` a plan's ``fs`` layer calls for, if any."""
+    if not plan.fs:
         return None
-    return ChaosVFS(plan.fs, store_faults=plan.store, seed=plan.seed)
+    return ChaosVFS(plan.fs, seed=plan.seed)

@@ -7,39 +7,33 @@ fully determines a chaos replay -- same plan, same campaign, same
 failure stream, same results -- which is what lets the chaos suite
 assert convergence as a golden test instead of eyeballing flaky logs.
 
-Faults come in four layers, mirroring the execution stack:
+Faults come in three layers, mirroring the execution stack, and each
+layer has one address:
 
-* :class:`StoreFault` -- corrupts one on-disk store entry (bit flip,
-  truncation, stale salt, undecodable bytes) as it is read, in the read
-  path of the parent-side store's :class:`repro.chaos.fs.ChaosVFS`.
-  ``op_index`` counts, per store instance, the reads that find an
-  existing entry: fault ``op_index=2`` hits the third stored entry the
-  replay reads back.
-* :class:`RunnerFault` -- makes a dispatched work unit misbehave:
-  ``crash`` SIGKILLs the worker mid-unit, ``hang`` stalls it past the
-  pool timeout, ``transient`` raises a retriable exception, ``slow``
-  injects latency without failing (the unit still completes and must
-  still produce bit-identical results).
-  A runner fault is addressed one of two ways: ``unit_index`` counts
-  work units globally across every ``run()`` call the chaos runner
-  serves ("the Nth unit of the campaign" -- which *physical* unit that
-  is depends on the pool's ``chunksize``), while ``spec_digest`` names
-  the :func:`~repro.sim.spec.spec_digest` of a spec the unit contains,
-  which keeps the plan meaning the same work however the units are
-  batched.
+* :class:`RunnerFault` -- makes the work unit containing the
+  ``spec_index``-th dispatched spec misbehave: ``crash`` SIGKILLs the
+  worker mid-unit, ``hang`` stalls it past the pool timeout,
+  ``transient`` raises a retriable exception, ``slow`` injects latency
+  without failing (the unit still completes and must still produce
+  bit-identical results).  Specs are counted globally across every
+  ``run()`` call the chaos runner serves, so the address names the same
+  work however the pool batches its units.
 * :class:`EngineFault` -- raises from a named engine phase hook
   (:class:`repro.chaos.engine_faults.PhaseFaultObserver`) while the
   ``spec_index``-th dispatched spec executes.
 * :class:`FsFault` -- sabotages one filesystem operation of the
-  parent-side store's write path (:class:`repro.chaos.fs.ChaosVFS`):
+  parent-side store (:class:`repro.chaos.fs.ChaosVFS`), addressed by
+  operation name (``op``), the Nth matching occurrence (``op_index``),
+  and optionally the store's ``writer`` tag (``"parent"`` hits only the
+  :class:`~repro.sim.store.CachingRunner` path).  On the write path
   ``eio``/``enospc`` raise the corresponding ``OSError`` from the
   matched op, ``torn_write`` persists a partial buffer and simulates a
   crash, ``lost_rename`` crashes with the publish rename undone, and
   ``crash`` raises :class:`~repro.chaos.fs.SimulatedCrash` at the op
-  boundary.  The target is addressed by operation name (``op``), the
-  Nth matching occurrence (``op_index``), and optionally the store's
-  ``writer`` tag (``"parent"`` hits only the
-  :class:`~repro.sim.store.CachingRunner` write path).
+  boundary.  On the read path (``op="read_bytes"``, the entry read of
+  :meth:`~repro.sim.store.RunStore.get`) ``bit_flip``, ``truncate``,
+  ``stale_salt`` and ``unreadable`` corrupt the entry as it is read
+  back; ``op_index`` then counts the reads that find a stored entry.
 
 ``seed`` drives every stochastic choice an injector makes (currently the
 bit-flip position), through ``random.Random`` instances derived from the
@@ -51,22 +45,18 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
 from repro.sim.spec import canonical_json
 
-PLAN_FORMAT_VERSION = 1
-
-#: Ways a store entry can be corrupted on disk.
-STORE_FAULT_KINDS: Tuple[str, ...] = (
-    "bit_flip",
-    "truncate",
-    "stale_salt",
-    "unreadable",
-)
+PLAN_FORMAT_VERSION = 2
 
 #: Ways a dispatched work unit can misbehave.
 RUNNER_FAULT_KINDS: Tuple[str, ...] = ("crash", "hang", "transient", "slow")
+
+#: The fs fault kinds that corrupt a stored entry as it is read back;
+#: they take ``op="read_bytes"`` and no other op.
+_READ_FAULT_KINDS = ("bit_flip", "truncate", "stale_salt", "unreadable")
 
 #: Ways a filesystem operation can be sabotaged.
 FS_FAULT_KINDS: Tuple[str, ...] = (
@@ -75,10 +65,11 @@ FS_FAULT_KINDS: Tuple[str, ...] = (
     "torn_write",
     "lost_rename",
     "crash",
-)
+) + _READ_FAULT_KINDS
 
 #: The :class:`~repro.sim.store.VirtualFS` operations an
-#: :class:`FsFault` may target (``"any"`` matches every op).
+#: :class:`FsFault` may target (``"any"`` matches every write-path op;
+#: ``"read_bytes"`` is the entry read, outside the op stream).
 FS_OPS: Tuple[str, ...] = (
     "any",
     "mkdir",
@@ -87,6 +78,7 @@ FS_OPS: Tuple[str, ...] = (
     "replace",
     "fsync_dir",
     "unlink",
+    "read_bytes",
 )
 
 #: The engine phase hooks an :class:`EngineFault` may target, in firing
@@ -102,47 +94,24 @@ ENGINE_PHASES: Tuple[str, ...] = (
 )
 
 
+#: The top-level keys of a fault plan document.
+_PLAN_KEYS = frozenset(
+    ("format_version", "kind", "seed", "runner", "engine", "fs", "label")
+)
+
+
 class PlanError(ValueError):
     """A fault plan references an unknown kind or a bad value."""
 
 
 @dataclass(frozen=True)
-class StoreFault:
-    """Corrupt the ``op_index``-th stored entry read back, by ``kind``."""
-
-    kind: str
-    op_index: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in STORE_FAULT_KINDS:
-            raise PlanError(
-                f"unknown store fault kind {self.kind!r}; expected one of "
-                f"{STORE_FAULT_KINDS}"
-            )
-        if self.op_index < 0:
-            raise PlanError(f"op_index must be >= 0, got {self.op_index}")
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form."""
-        return {"kind": self.kind, "op_index": self.op_index}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StoreFault":
-        """Inverse of :meth:`to_dict`."""
-        return cls(kind=str(data["kind"]), op_index=int(data["op_index"]))
-
-
-@dataclass(frozen=True)
 class RunnerFault:
-    """Make one dispatched work unit misbehave.
+    """Make the work unit containing the ``spec_index``-th spec misbehave.
 
-    The target is addressed by exactly one of ``unit_index`` (the Nth
-    unit dispatched globally -- chunksize-dependent) or ``spec_digest``
-    (the unit containing the spec with that
-    :func:`~repro.sim.spec.spec_digest` -- chunksize-portable; the
-    failure stream then records the matched spec's global index as the
-    canonical unit, so the stream is identical however units are
-    batched).
+    ``spec_index`` counts dispatched specs globally, as
+    :class:`EngineFault` does; the failure stream records the unit as
+    the global index of its first targeted spec, so the stream is
+    identical however units are batched.
 
     ``times`` bounds how often the fault fires (a re-dispatched unit
     would otherwise crash forever); ``seconds`` is the stall length of a
@@ -152,10 +121,9 @@ class RunnerFault:
     """
 
     kind: str
-    unit_index: Optional[int] = None
+    spec_index: int
     times: int = 1
     seconds: float = 30.0
-    spec_digest: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.kind not in RUNNER_FAULT_KINDS:
@@ -163,46 +131,30 @@ class RunnerFault:
                 f"unknown runner fault kind {self.kind!r}; expected one of "
                 f"{RUNNER_FAULT_KINDS}"
             )
-        if (self.unit_index is None) == (self.spec_digest is None):
-            raise PlanError(
-                "a runner fault is addressed by exactly one of unit_index "
-                "or spec_digest"
-            )
-        if self.unit_index is not None and self.unit_index < 0:
-            raise PlanError(f"unit_index must be >= 0, got {self.unit_index}")
-        if self.spec_digest is not None and not self.spec_digest:
-            raise PlanError("spec_digest must be a non-empty digest string")
+        if self.spec_index < 0:
+            raise PlanError(f"spec_index must be >= 0, got {self.spec_index}")
         if self.times < 1:
             raise PlanError(f"times must be >= 1, got {self.times}")
         if self.seconds <= 0:
             raise PlanError(f"seconds must be positive, got {self.seconds}")
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form (only the addressing field in use is kept,
-        so index-addressed plans serialize exactly as they always have).
-        """
-        data: Dict[str, Any] = {
+        """Plain-dict form."""
+        return {
             "kind": self.kind,
+            "spec_index": self.spec_index,
             "times": self.times,
             "seconds": self.seconds,
         }
-        if self.unit_index is not None:
-            data["unit_index"] = self.unit_index
-        if self.spec_digest is not None:
-            data["spec_digest"] = self.spec_digest
-        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunnerFault":
         """Inverse of :meth:`to_dict`."""
-        unit_index = data.get("unit_index")
-        digest = data.get("spec_digest")
         return cls(
             kind=str(data["kind"]),
-            unit_index=int(unit_index) if unit_index is not None else None,
+            spec_index=int(data["spec_index"]),
             times=int(data.get("times", 1)),
             seconds=float(data.get("seconds", 30.0)),
-            spec_digest=str(digest) if digest is not None else None,
         )
 
 
@@ -260,9 +212,9 @@ class FsFault:
     """Sabotage the ``op_index``-th matching filesystem operation.
 
     ``op`` names the :class:`~repro.sim.store.VirtualFS` operation to
-    match (``"any"`` matches all of them); ``writer`` restricts the
-    match to ops tagged with that store address (``"parent"`` -- the
-    :class:`~repro.sim.store.CachingRunner` write path, ``"worker"`` --
+    match (``"any"`` matches every write-path op); ``writer`` restricts
+    the match to ops tagged with that store address (``"parent"`` -- the
+    :class:`~repro.sim.store.CachingRunner` path, ``"worker"`` --
     pool-worker write-through; empty matches any writer).  ``op_index``
     counts the matching ops, per :class:`~repro.chaos.fs.ChaosVFS`
     instance; ``times`` makes the fault fire on that many *consecutive*
@@ -273,7 +225,11 @@ class FsFault:
     gracefully and records an ``io`` failure); ``torn_write``,
     ``lost_rename`` and ``crash`` raise
     :class:`~repro.chaos.fs.SimulatedCrash` and are meant for the
-    crash-point harness, not for convergence replays.
+    crash-point harness, not for convergence replays.  The read kinds
+    (``bit_flip``, ``truncate``, ``stale_salt``, ``unreadable``) target
+    ``op="read_bytes"`` and nothing else: they damage a stored entry as
+    it is read back, which the store must detect, quarantine and
+    recompute.
     """
 
     kind: str
@@ -291,6 +247,11 @@ class FsFault:
         if self.op not in FS_OPS:
             raise PlanError(
                 f"unknown fs op {self.op!r}; expected one of {FS_OPS}"
+            )
+        if (self.kind in _READ_FAULT_KINDS) != (self.op == "read_bytes"):
+            raise PlanError(
+                f"read_bytes takes exactly the read fault kinds "
+                f"{_READ_FAULT_KINDS}, not {self.kind!r} on {self.op!r}"
             )
         if self.kind == "torn_write" and self.op not in ("any", "write_bytes"):
             raise PlanError(
@@ -340,7 +301,6 @@ class FaultPlan:
     """
 
     seed: int = 0
-    store: Tuple[StoreFault, ...] = ()
     runner: Tuple[RunnerFault, ...] = ()
     engine: Tuple[EngineFault, ...] = ()
     fs: Tuple[FsFault, ...] = ()
@@ -349,23 +309,17 @@ class FaultPlan:
     def __post_init__(self) -> None:
         # Tolerate lists from direct construction; store tuples so plans
         # are hashable frozen data like every other spec layer.
-        object.__setattr__(self, "store", tuple(self.store))
         object.__setattr__(self, "runner", tuple(self.runner))
         object.__setattr__(self, "engine", tuple(self.engine))
         object.__setattr__(self, "fs", tuple(self.fs))
 
     def to_dict(self) -> Dict[str, Any]:
-        """Full JSON-serializable dict export of the plan.
-
-        The ``fs`` layer is omitted when empty (like ``label``), so
-        plans predating it serialize -- and hash -- exactly as they
-        always have.
-        """
+        """Full JSON-serializable dict export of the plan (``fs`` and
+        ``label`` are omitted when empty)."""
         data: Dict[str, Any] = {
             "format_version": PLAN_FORMAT_VERSION,
             "kind": "fault_plan",
             "seed": self.seed,
-            "store": [fault.to_dict() for fault in self.store],
             "runner": [fault.to_dict() for fault in self.runner],
             "engine": [fault.to_dict() for fault in self.engine],
         }
@@ -386,22 +340,27 @@ class FaultPlan:
             )
         if data.get("kind", "fault_plan") != "fault_plan":
             raise PlanError(f"not a fault_plan document: {data.get('kind')!r}")
-        return cls(
-            seed=int(data.get("seed", 0)),
-            store=tuple(
-                StoreFault.from_dict(item) for item in data.get("store", ())
-            ),
-            runner=tuple(
-                RunnerFault.from_dict(item) for item in data.get("runner", ())
-            ),
-            engine=tuple(
-                EngineFault.from_dict(item) for item in data.get("engine", ())
-            ),
-            fs=tuple(
-                FsFault.from_dict(item) for item in data.get("fs", ())
-            ),
-            label=str(data.get("label", "")),
-        )
+        unknown = sorted(set(data) - _PLAN_KEYS)
+        if unknown:
+            raise PlanError(f"unknown fault plan keys {unknown}")
+        try:
+            return cls(
+                seed=int(data.get("seed", 0)),
+                runner=tuple(
+                    RunnerFault.from_dict(item)
+                    for item in data.get("runner", ())
+                ),
+                engine=tuple(
+                    EngineFault.from_dict(item)
+                    for item in data.get("engine", ())
+                ),
+                fs=tuple(
+                    FsFault.from_dict(item) for item in data.get("fs", ())
+                ),
+                label=str(data.get("label", "")),
+            )
+        except KeyError as error:
+            raise PlanError(f"fault plan entry lacks {error}") from error
 
     def to_json(self, indent: int = 2) -> str:
         """The plan as a JSON string (what ``examples/*.json`` hold)."""
@@ -423,12 +382,7 @@ class FaultPlan:
     @property
     def fault_count(self) -> int:
         """Total number of declared faults across all layers."""
-        return (
-            len(self.store)
-            + len(self.runner)
-            + len(self.engine)
-            + len(self.fs)
-        )
+        return len(self.runner) + len(self.engine) + len(self.fs)
 
 
 def plan_digest(plan: FaultPlan, *, salt: str = "faultplan1") -> str:

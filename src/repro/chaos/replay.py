@@ -7,12 +7,12 @@ chaos`` CLI drives.  It executes the same workload three times:
    fingerprint;
 2. **cold chaos** -- through the full chaos stack (recording wrapper ->
    caching over a :class:`~repro.sim.store.RunStore` whose
-   :class:`~repro.chaos.fs.ChaosVFS` carries the plan's store and fs
-   faults -> a :class:`~repro.chaos.runner.ChaosPoolRunner` whose
-   workers write through a clean store at the same root).  Runner,
-   engine and fs faults fire here, while the store populates;
+   :class:`~repro.chaos.fs.ChaosVFS` carries the plan's fs faults -> a
+   :class:`~repro.chaos.runner.ChaosPoolRunner` whose workers write
+   through a clean store at the same root).  Runner, engine and
+   write-path fs faults fire here, while the store populates;
 3. **warm chaos** -- the same stack again.  Entry reads now find stored
-   entries, so the plan's store faults bite in the ChaosVFS read path:
+   entries, so the plan's read faults bite in the ChaosVFS read path:
    corrupted entries must be detected, quarantined and recomputed.
 
 Every pass's results are folded into a sha256 *fingerprint* (canonical
@@ -244,18 +244,19 @@ def replay_plan(
         baseline_fingerprint = baseline.fingerprint
 
     # Only the parent-side store injects: its entry reads are counted
-    # serially, so store faults land deterministically.
+    # serially, so read faults land deterministically.
     vfs = chaos_vfs_for_plan(plan)
     store = RunStore(store_root, vfs=vfs)
-    # Plans with an fs layer disable worker write-through, so every
-    # store write funnels through the parent-side CachingRunner path --
-    # the op stream the plan's FsFaults address.
+    # Write-path faults disable worker write-through, so every store
+    # write funnels through the parent-side CachingRunner path -- the
+    # op stream they address.
+    writes_faulted = any(fault.op != "read_bytes" for fault in plan.fs)
     pool = ChaosPoolRunner(
         plan,
         workdir,
         max_workers=jobs,
         timeout=timeout,
-        store=None if plan.fs else RunStore(store_root),
+        store=None if writes_faulted else RunStore(store_root),
     )
     chaos_stack = CachingRunner(pool, store)
     try:

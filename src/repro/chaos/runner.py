@@ -18,19 +18,17 @@
   in-flight futures down with it nondeterministically, and recording
   that collateral would make the failure stream timing-dependent.
 
-Unit and spec indices are counted *globally* across every ``run()`` call
-the instance serves, so a plan written against a campaign ("crash the
-9th unit") keeps meaning the same unit regardless of how the campaign's
-sections batch their grids.  Digest-addressed runner faults
-(``spec_digest``) go one step further: the target unit is whichever unit
-*contains* the named spec, and the failure stream records the matched
-spec's global index as the canonical unit -- so the same plan produces
-the same stream under any ``chunksize``.
+Runner and engine faults both name a spec by its *global* index, counted
+across every ``run()`` call the instance serves, so a plan written
+against a campaign ("crash spec 9") keeps meaning the same work however
+the campaign's sections batch their grids.  A runner fault fires on
+whichever unit contains its spec, and the failure stream records a unit
+as the global index of its first targeted spec -- so the same plan
+produces the same stream under any ``chunksize``.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import pathlib
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -48,7 +46,7 @@ from repro.chaos.injectors import (
 from repro.chaos.plan import FaultPlan
 from repro.sim.metrics import RunResult
 from repro.sim.runner import ProcessPoolRunner
-from repro.sim.spec import RunSpec, build_engine, execute, spec_digest
+from repro.sim.spec import RunSpec, build_engine, execute
 from repro.sim.store import RunStore, execute_through_store
 
 
@@ -166,39 +164,21 @@ class ChaosPoolRunner(ProcessPoolRunner):
         self.workdir = pathlib.Path(workdir)
         self.workdir.mkdir(parents=True, exist_ok=True)
         self.failures: List[FailureRecord] = []
-        self._unit_base = 0
         self._spec_base = 0
-        self._run_unit_base = 0
         self._run_spec_base = 0
-        self._crash_units = {
-            fault.unit_index
-            for fault in plan.runner
-            if fault.kind == "crash" and fault.unit_index is not None
+        self._crash_specs = {
+            fault.spec_index for fault in plan.runner if fault.kind == "crash"
         }
-        self._crash_digests = {
-            fault.spec_digest
-            for fault in plan.runner
-            if fault.kind == "crash" and fault.spec_digest is not None
-        }
-        self._unit_faults: Dict[int, List[Dict[str, Any]]] = {}
-        self._digest_faults: Dict[str, List[Dict[str, Any]]] = {}
-        self._run_digests: List[str] = []
+        self._runner_faults: Dict[int, List[Dict[str, Any]]] = {}
         for index, fault in enumerate(plan.runner):
-            payload = {
-                "key": f"runner-{index}",
-                "kind": fault.kind,
-                "times": fault.times,
-                "seconds": fault.seconds,
-            }
-            if fault.unit_index is not None:
-                self._unit_faults.setdefault(fault.unit_index, []).append(
-                    payload
-                )
-            else:
-                assert fault.spec_digest is not None
-                self._digest_faults.setdefault(fault.spec_digest, []).append(
-                    payload
-                )
+            self._runner_faults.setdefault(fault.spec_index, []).append(
+                {
+                    "key": f"runner-{index}",
+                    "kind": fault.kind,
+                    "times": fault.times,
+                    "seconds": fault.seconds,
+                }
+            )
         self._engine_faults: Dict[int, Dict[str, Any]] = {}
         for index, fault in enumerate(plan.engine):
             self._engine_faults[fault.spec_index] = {
@@ -213,29 +193,13 @@ class ChaosPoolRunner(ProcessPoolRunner):
     # ------------------------------------------------------------------
 
     def run(self, specs: Sequence[RunSpec]) -> List[RunResult]:
-        """Execute specs, advancing the global unit/spec counters."""
-        self._run_unit_base = self._unit_base
+        """Execute specs, advancing the global spec counter."""
         self._run_spec_base = self._spec_base
-        self._unit_base += math.ceil(len(specs) / self.chunksize)
         self._spec_base += len(specs)
-        # Digest addressing needs this run's spec digests, both to match
-        # units at submit time and to canonicalize fault attribution.
-        self._run_digests = (
-            [spec_digest(spec) for spec in specs]
-            if self._digest_faults
-            else []
-        )
         return super().run(specs)
 
-    def _global_unit(self, unit: List[int]) -> int:
-        return self._run_unit_base + unit[0] // self.chunksize
-
-    def _digest_match(self, unit: List[int]) -> Optional[int]:
-        """The local index of the first digest-targeted spec in ``unit``."""
-        for index in unit:
-            if self._run_digests[index] in self._digest_faults:
-                return index
-        return None
+    def _global_indices(self, unit: List[int]) -> List[int]:
+        return [self._run_spec_base + index for index in unit]
 
     def _submit(
         self,
@@ -243,16 +207,13 @@ class ChaosPoolRunner(ProcessPoolRunner):
         specs: Sequence[RunSpec],
         unit: List[int],
     ) -> Future:
-        global_unit = self._global_unit(unit)
-        global_indices = [self._run_spec_base + index for index in unit]
-        unit_faults = list(self._unit_faults.get(global_unit, []))
-        if self._run_digests:
-            for index in unit:
-                unit_faults.extend(
-                    self._digest_faults.get(self._run_digests[index], [])
-                )
+        global_indices = self._global_indices(unit)
         payload: Dict[str, Any] = {
-            "unit_faults": unit_faults,
+            "unit_faults": [
+                fault
+                for index in global_indices
+                for fault in self._runner_faults.get(index, [])
+            ],
             "engine_faults": {
                 str(index): self._engine_faults[index]
                 for index in global_indices
@@ -278,14 +239,17 @@ class ChaosPoolRunner(ProcessPoolRunner):
     def _on_fault_event(
         self, kind: str, unit: List[int], attempt: int, detail: str
     ) -> None:
-        global_unit = self._global_unit(unit)
-        # Digest-addressed faults record the matched spec's global index
-        # as the canonical unit: it names the same work under any
-        # chunksize, where the physical unit number does not.
-        matched = self._digest_match(unit) if self._run_digests else None
-        canonical = (
-            self._run_spec_base + matched if matched is not None
-            else global_unit
+        global_indices = self._global_indices(unit)
+        # The first targeted spec's global index is the canonical unit:
+        # it names the same work under any chunksize, where the physical
+        # unit number does not.
+        canonical = next(
+            (
+                index
+                for index in global_indices
+                if index in self._runner_faults or index in self._engine_faults
+            ),
+            global_indices[0],
         )
         if kind == "timeout":
             record_kind = "timeout"
@@ -295,13 +259,7 @@ class ChaosPoolRunner(ProcessPoolRunner):
             else:
                 record_kind = "transient"
         else:  # crash
-            digest = (
-                self._run_digests[matched] if matched is not None else None
-            )
-            if (
-                global_unit not in self._crash_units
-                and digest not in self._crash_digests
-            ):
+            if self._crash_specs.isdisjoint(global_indices):
                 # Collateral: a break takes innocent in-flight futures
                 # down nondeterministically; only targeted units are
                 # part of the canonical failure stream.

@@ -4,13 +4,15 @@ Covers the robustness contracts the ISSUE pins:
 
 * a :class:`FaultPlan` is pure data: JSON round-trippable, validated,
   content-addressable with a label-independent digest;
-* every store-fault kind produces corruption the store's integrity
+* every read-fault kind produces corruption the store's integrity
   layer detects, quarantines and recomputes -- zero wrong results;
 * runner and engine faults are tolerated by the pool's recovery
   machinery and surface as structured :class:`FailureRecord` s;
 * the golden property: replaying the same seeded plan twice yields an
   identical failure stream and bit-identical results.
 """
+
+import pathlib
 
 import pytest
 
@@ -21,10 +23,10 @@ from repro.chaos import (
     EngineFault,
     FailureRecord,
     FaultPlan,
+    FsFault,
     PhaseFaultObserver,
     PlanError,
     RunnerFault,
-    StoreFault,
     chaos_vfs_for_plan,
     diff_failure_streams,
     load_failure_stream,
@@ -37,6 +39,7 @@ from repro.sim.spec import build_engine, make_spec
 from repro.sim.store import CachingRunner, RunStore
 from repro.sim.traceio import run_result_to_dict
 
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 def _spec(seed=0, **kwargs):
     defaults = {"k": 6, "seed": seed, "label": f"chaos test seed={seed}"}
@@ -48,18 +51,32 @@ def _grid(count=6):
     return [_spec(seed=s) for s in range(count)]
 
 
+def _read_fault(kind, op_index, **kwargs):
+    return FsFault(kind=kind, op="read_bytes", op_index=op_index, **kwargs)
+
+
 class TestFaultPlan:
     def test_json_round_trip(self):
         plan = FaultPlan(
             seed=11,
-            store=(StoreFault(kind="bit_flip", op_index=2),),
-            runner=(RunnerFault(kind="crash", unit_index=4),),
+            runner=(RunnerFault(kind="crash", spec_index=4),),
             engine=(EngineFault(phase="on_move", spec_index=7),),
+            fs=(_read_fault("bit_flip", 2),),
             label="round trip",
         )
         again = FaultPlan.from_json(plan.to_json())
         assert again == plan
         assert again.fault_count == 3
+        assert again.runner[0].spec_index == 4
+        assert again.fs[0].op == "read_bytes"
+        assert plan_digest(plan) != plan_digest(
+            FaultPlan(
+                seed=11,
+                runner=(RunnerFault(kind="crash", spec_index=5),),
+                engine=plan.engine,
+                fs=plan.fs,
+            )
+        )
 
     def test_digest_ignores_label_but_not_faults(self):
         base = FaultPlan(seed=1, runner=(RunnerFault("transient", 0),))
@@ -71,45 +88,40 @@ class TestFaultPlan:
         assert plan_digest(base) != plan_digest(different)
 
     def test_validation_rejects_bad_values(self):
-        with pytest.raises(PlanError, match="store fault kind"):
-            StoreFault(kind="gamma_ray", op_index=0)
+        with pytest.raises(PlanError, match="fs fault kind"):
+            _read_fault("gamma_ray", 0)
         with pytest.raises(PlanError, match="runner fault kind"):
-            RunnerFault(kind="explode", unit_index=0)
+            RunnerFault(kind="explode", spec_index=0)
         with pytest.raises(PlanError, match="engine phase"):
             EngineFault(phase="on_lunch", spec_index=0)
         with pytest.raises(PlanError, match="op_index"):
-            StoreFault(kind="truncate", op_index=-1)
+            _read_fault("truncate", -1)
+        with pytest.raises(PlanError, match="spec_index"):
+            RunnerFault(kind="crash", spec_index=-1)
         with pytest.raises(PlanError, match="times"):
-            RunnerFault(kind="transient", unit_index=0, times=0)
+            RunnerFault(kind="transient", spec_index=0, times=0)
         with pytest.raises(PlanError, match="format_version"):
             FaultPlan.from_dict({"format_version": 99, "kind": "fault_plan"})
+        # A version-1 plan is rejected, and relabelling its version is
+        # not a migration: the old store layer is refused, never dropped.
+        legacy = {"format_version": 1, "store": [{"kind": "truncate"}]}
+        with pytest.raises(PlanError, match="format_version 1"):
+            FaultPlan.from_dict(legacy)
+        with pytest.raises(PlanError, match="store"):
+            FaultPlan.from_dict(dict(legacy, format_version=2))
         with pytest.raises(PlanError, match="JSON"):
             FaultPlan.from_json("{nope")
 
     def test_runner_fault_requires_exactly_one_address(self):
-        with pytest.raises(PlanError, match="exactly one"):
+        # spec_index is the one address: a version-1 address in its
+        # place is refused.
+        for legacy in ({"unit_index": 2}, {"spec_digest": "ab12cd34"}):
+            with pytest.raises(PlanError, match="spec_index"):
+                FaultPlan.from_dict(
+                    {"runner": [dict(legacy, kind="crash")]}
+                )
+        with pytest.raises(TypeError):
             RunnerFault(kind="crash")
-        with pytest.raises(PlanError, match="exactly one"):
-            RunnerFault(kind="crash", unit_index=1, spec_digest="ab12")
-        with pytest.raises(PlanError, match="non-empty"):
-            RunnerFault(kind="crash", spec_digest="")
-
-    def test_digest_addressed_fault_round_trips(self):
-        plan = FaultPlan(
-            seed=2,
-            runner=(RunnerFault(kind="crash", spec_digest="ab12cd34"),),
-        )
-        again = FaultPlan.from_json(plan.to_json())
-        assert again == plan
-        assert again.runner[0].spec_digest == "ab12cd34"
-        assert again.runner[0].unit_index is None
-        # each addressing mode serializes only its own field, so
-        # index-addressed plans keep their historical digests
-        assert "spec_digest" not in RunnerFault("crash", 1).to_dict()
-        assert "unit_index" not in plan.runner[0].to_dict()
-        assert plan_digest(plan) != plan_digest(
-            FaultPlan(seed=2, runner=(RunnerFault("crash", 0),))
-        )
 
     def test_failure_record_round_trip_and_order(self):
         records = [
@@ -124,7 +136,7 @@ class TestFaultPlan:
 
 
 class TestFaultyStore:
-    """A store whose ChaosVFS carries the plan's store faults."""
+    """A store whose ChaosVFS carries the plan's read faults."""
 
     @pytest.mark.parametrize(
         "kind", ["bit_flip", "truncate", "stale_salt", "unreadable"]
@@ -135,7 +147,7 @@ class TestFaultyStore:
         result = repro.execute(spec)
         clean.put(spec, result)
         stored = clean.path_for(clean.digest(spec)).read_bytes()
-        plan = FaultPlan(seed=5, store=(StoreFault(kind=kind, op_index=0),))
+        plan = FaultPlan(seed=5, fs=(_read_fault(kind, 0),))
         vfs = chaos_vfs_for_plan(plan)
         faulty = RunStore(tmp_path, vfs=vfs)
         assert faulty.get(spec) is None  # corrupted, detected, missed
@@ -158,12 +170,35 @@ class TestFaultyStore:
             clean.put(spec, repro.execute(spec))
         # Fault at op 1: the *second* read that finds an entry.  The cold
         # miss of specs[0] must not consume it.
-        plan = FaultPlan(seed=0, store=(StoreFault("truncate", 1),))
+        plan = FaultPlan(seed=0, fs=(_read_fault("truncate", 1),))
         faulty = RunStore(tmp_path, vfs=chaos_vfs_for_plan(plan))
         assert faulty.get(specs[0]) is None  # plain miss, no fault burned
         assert faulty.get(specs[1]) is not None  # op 0: untouched
         assert faulty.get(specs[2]) is None  # op 1: corrupted
         assert faulty.corrupt == 1
+
+    def test_read_fault_honours_writer_and_times(self, tmp_path):
+        clean = RunStore(tmp_path)
+        specs = _grid(3)
+        for spec in specs:
+            clean.put(spec, repro.execute(spec))
+        plan = FaultPlan(
+            seed=0,
+            fs=(
+                _read_fault("unreadable", 0, writer="worker"),
+                _read_fault("truncate", 1, writer="parent", times=2),
+            ),
+        )
+        vfs = chaos_vfs_for_plan(plan)
+        faulty = RunStore(tmp_path, vfs=vfs, writer="parent")
+        assert [faulty.get(spec) is None for spec in specs] == [
+            False, True, True
+        ]
+        assert [(r.unit, r.kind) for r in vfs.failures] == [
+            (1, "corrupt"),
+            (2, "corrupt"),
+        ]
+        assert all("truncate" in r.detail for r in vfs.failures)
 
 
 class TestEngineFaults:
@@ -196,7 +231,7 @@ class TestChaosPoolRunner:
     def test_transient_fault_is_retried_bit_identical(self, tmp_path):
         specs = _grid(6)
         plan = FaultPlan(
-            seed=3, runner=(RunnerFault("transient", unit_index=2),)
+            seed=3, runner=(RunnerFault("transient", spec_index=2),)
         )
         with ChaosPoolRunner(plan, tmp_path / "claims", max_workers=2) as pool:
             results = pool.run(specs)
@@ -223,22 +258,20 @@ class TestChaosPoolRunner:
             (1, "engine")
         ]
 
-    def test_digest_addressed_plan_is_chunksize_portable(self, tmp_path):
-        """The same digest-addressed plan yields identical results and an
-        identical failure stream under chunksize=1 and chunksize=3: the
-        fault follows the spec into whatever unit contains it, and the
-        stream records the spec's global index as the canonical unit."""
-        from repro.sim.spec import spec_digest
-
+    def test_spec_indexed_plan_is_chunksize_portable(self, tmp_path):
+        """The same plan yields identical results and an identical
+        failure stream under chunksize=1 and chunksize=3: the fault
+        follows its spec into whatever unit contains it, and the stream
+        records the spec's global index as the canonical unit."""
         specs = _grid(6)
         # Disjoint fault windows (separate run() calls), per the plan
         # contract: concurrent breakage windows race over attempt
-        # numbers regardless of addressing mode.
+        # numbers.
         plan = FaultPlan(
             seed=4,
             runner=(
-                RunnerFault("crash", spec_digest=spec_digest(specs[1])),
-                RunnerFault("transient", spec_digest=spec_digest(specs[4])),
+                RunnerFault("crash", spec_index=1),
+                RunnerFault("transient", spec_index=4),
             ),
         )
         serial = [run_result_to_dict(r) for r in SerialRunner().run(specs)]
@@ -260,14 +293,14 @@ class TestChaosPoolRunner:
         ]
 
     def test_unit_indices_are_global_across_runs(self, tmp_path):
-        # Fault on unit 4 must hit the second run() call's second spec.
+        # Fault on spec 4 must hit the second run() call's second spec.
         plan = FaultPlan(
-            seed=0, runner=(RunnerFault("transient", unit_index=4),)
+            seed=0, runner=(RunnerFault("transient", spec_index=4),)
         )
         with ChaosPoolRunner(plan, tmp_path / "claims", max_workers=2) as pool:
-            pool.run(_grid(3))  # units 0..2, fault not in range
+            pool.run(_grid(3))  # specs 0..2, fault not in range
             assert pool.failure_records == []
-            pool.run(_grid(3))  # units 3..5, fault fires on the middle one
+            pool.run(_grid(3))  # specs 3..5, fault fires on the middle one
         assert [(r.unit, r.kind) for r in pool.failure_records] == [
             (4, "transient")
         ]
@@ -275,19 +308,16 @@ class TestChaosPoolRunner:
 
 class TestReplayGolden:
     def test_same_plan_replays_identically(self, tmp_path):
-        """The acceptance golden: one seeded plan, replayed twice against
-        the same campaign, yields identical failure streams and
-        bit-identical results (fingerprints equal to the baseline)."""
-        plan = FaultPlan(
-            seed=42,
-            store=(
-                StoreFault("bit_flip", op_index=3),
-                StoreFault("truncate", op_index=11),
-                StoreFault("stale_salt", op_index=19),
-            ),
-            runner=(RunnerFault("transient", unit_index=9),),
-            engine=(EngineFault("on_compute", spec_index=18),),
-            label="golden",
+        """The acceptance golden: the example plan, replayed twice
+        against the same campaign, yields the committed failure stream
+        both times -- one record per declared fault, so a fault that
+        silently addresses nothing fails here -- and bit-identical
+        results (fingerprints equal to the baseline)."""
+        plan = FaultPlan.from_json(
+            (EXAMPLES / "chaos_plan.json").read_text()
+        )
+        _, golden = load_failure_stream(
+            (EXAMPLES / "chaos_failures.golden.json").read_text()
         )
         first = replay_plan(plan, tmp_path / "a", scale="quick", jobs=2)
         second = replay_plan(
@@ -298,7 +328,9 @@ class TestReplayGolden:
             baseline_fingerprint=first.baseline_fingerprint,
         )
         assert first.ok and second.ok
-        assert first.failures == second.failures
+        assert first.failures == golden
+        assert second.failures == golden
+        assert len(golden) == plan.fault_count
         assert first.cold_fingerprint == second.cold_fingerprint
         assert first.warm_fingerprint == second.warm_fingerprint
         assert first.warm_fingerprint == first.baseline_fingerprint
@@ -311,10 +343,10 @@ class TestReplayGolden:
         results served (convergence is bit-identity)."""
         plan = FaultPlan(
             seed=9,
-            store=(
-                StoreFault("bit_flip", op_index=2),
-                StoreFault("unreadable", op_index=10),
-                StoreFault("truncate", op_index=20),
+            fs=(
+                _read_fault("bit_flip", 2),
+                _read_fault("unreadable", 10),
+                _read_fault("truncate", 20),
             ),
         )
         report = replay_plan(plan, tmp_path, scale="quick", jobs=2)
@@ -353,7 +385,7 @@ class TestCampaignFailureReporting:
 
         store_root = tmp_path / "store"
         plan = FaultPlan(
-            seed=6, runner=(RunnerFault("transient", unit_index=1),)
+            seed=6, runner=(RunnerFault("transient", spec_index=1),)
         )
         store = RunStore(store_root, vfs=chaos_vfs_for_plan(plan))
         with ChaosPoolRunner(
@@ -381,7 +413,7 @@ class TestSlowFault:
         serial pass, and nothing enters the failure stream."""
         specs = _grid(4)
         plan = FaultPlan(
-            seed=1, runner=(RunnerFault("slow", unit_index=1, seconds=0.2),)
+            seed=1, runner=(RunnerFault("slow", spec_index=1, seconds=0.2),)
         )
         with ChaosPoolRunner(plan, tmp_path / "claims", max_workers=2) as pool:
             results = pool.run(specs)
@@ -393,7 +425,7 @@ class TestSlowFault:
 
     def test_slow_kind_is_a_valid_plan_entry(self):
         plan = FaultPlan(
-            runner=(RunnerFault("slow", unit_index=0, seconds=0.1),)
+            runner=(RunnerFault("slow", spec_index=0, seconds=0.1),)
         )
         assert FaultPlan.from_json(plan.to_json()) == plan
 
@@ -431,14 +463,11 @@ class TestFailureStreamGolden:
     def test_committed_golden_matches_the_example_plan(self):
         """The checked-in snapshot must stay addressed to the checked-in
         plan; CI replays the plan and diffs the streams."""
-        import pathlib
-
-        repo = pathlib.Path(__file__).resolve().parent.parent
         plan = FaultPlan.from_json(
-            (repo / "examples" / "chaos_plan.json").read_text()
+            (EXAMPLES / "chaos_plan.json").read_text()
         )
         digest, records = load_failure_stream(
-            (repo / "examples" / "chaos_failures.golden.json").read_text()
+            (EXAMPLES / "chaos_failures.golden.json").read_text()
         )
         assert digest == plan_digest(plan)
         assert len(records) == plan.fault_count

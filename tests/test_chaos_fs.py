@@ -104,6 +104,14 @@ class TestFsFaultPlan:
             FsFault(kind="eio", op_index=-1)
         with pytest.raises(PlanError):
             FsFault(kind="eio", times=0)
+        # Reads are never crash points: the corruption kinds take the
+        # read op and nothing else, and no write-path kind takes it.
+        with pytest.raises(PlanError, match="read_bytes"):
+            FsFault(kind="bit_flip")
+        with pytest.raises(PlanError, match="read_bytes"):
+            FsFault(kind="truncate", op="write_bytes")
+        with pytest.raises(PlanError, match="read_bytes"):
+            FsFault(kind="crash", op="read_bytes")
 
     def test_vfs_for_plan(self):
         assert chaos_vfs_for_plan(FaultPlan()) is None

@@ -155,10 +155,10 @@ class TestChaosCommand:
             json.dumps(
                 {
                     "kind": "fault_plan",
-                    "format_version": 1,
+                    "format_version": 2,
                     "seed": 3,
                     "runner": [
-                        {"kind": "transient", "unit_index": 9, "times": 1}
+                        {"kind": "transient", "spec_index": 9, "times": 1}
                     ],
                 }
             )
@@ -212,10 +212,10 @@ class TestChaosGoldenFailures:
             json.dumps(
                 {
                     "kind": "fault_plan",
-                    "format_version": 1,
+                    "format_version": 2,
                     "seed": 3,
                     "runner": [
-                        {"kind": "transient", "unit_index": 9, "times": 1}
+                        {"kind": "transient", "spec_index": 9, "times": 1}
                     ],
                 }
             )

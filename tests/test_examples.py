@@ -1,12 +1,14 @@
 """Smoke tests: every shipped example runs to completion."""
 
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
-EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
+REPO = pathlib.Path(__file__).resolve().parent.parent
+EXAMPLES_DIR = REPO / "examples"
 EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
 
 
@@ -17,12 +19,17 @@ def test_examples_exist():
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.name)
-def test_example_runs(script):
+def test_example_runs(script, tmp_path):
+    # Run from a scratch directory so whatever an example writes lands
+    # there, never in the source tree.
+    path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
     completed = subprocess.run(
         [sys.executable, str(script)],
         capture_output=True,
         text=True,
         timeout=600,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
     )
     assert completed.returncode == 0, completed.stderr[-2000:]
     assert completed.stdout.strip(), "examples must narrate what they do"

@@ -12,6 +12,7 @@ from repro.robots.robot import RobotSet
 from repro.sim.engine import SimulationEngine
 from repro.sim.invariants import (
     PotentialViolation,
+    check_moves_bounded_by_paths,
     check_moves_cross_edges,
     check_potential,
     check_potential_round,
@@ -50,11 +51,31 @@ class TestCleanRuns:
 
 
 class TestFaultyRuns:
-    def test_paper_invariants_rejected_for_faulty(self):
+    def test_paper_invariants_hold_for_faulty(self):
         schedule = CrashSchedule.random_schedule(12, 3, 4, random.Random(1))
         result = canonical_run(1, crash_schedule=schedule)
-        with pytest.raises(ValueError):
-            verify_run(result)
+        assert result.crashed_robots
+        assert verify_run(result) == []
+
+    def test_after_compute_crash_may_empty_a_sending_node(self):
+        # Seed 18: in round 2 node 9 sends its only robot (2) away, and
+        # robot 6, sliding in from node 0 to replace it, crashes after
+        # Compute, so node 9 ends empty.
+        schedule = CrashSchedule.random_schedule(12, 4, 4, random.Random(18))
+        result = canonical_run(18, crash_schedule=schedule)
+        record = result.records[2]
+        assert record.crashed_after_compute == (6,)
+        assert record.occupied_before - record.occupied_after == {9}
+        assert record.positions_before[2] == 9 != record.positions_after[2]
+        assert check_moves_bounded_by_paths(result) == []
+        assert verify_run(result) == []
+        # The same round without the crash excuse is flagged.
+        result.records[2] = dataclasses.replace(
+            record, crashed_after_compute=()
+        )
+        assert check_moves_bounded_by_paths(result) == [
+            "round 2: node 9 sent [2] away and ended empty"
+        ]
 
     def test_model_invariants_hold_for_faulty(self):
         schedule = CrashSchedule.random_schedule(12, 3, 4, random.Random(2))
