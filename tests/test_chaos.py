@@ -78,6 +78,25 @@ class TestFaultPlan:
             )
         )
 
+    def test_digest_addressed_fault_round_trips(self):
+        # The version-1 spec_digest address is gone: a runner fault
+        # serializes only its spec_index, and the plan's content digest
+        # survives the JSON round trip unchanged.
+        plan = FaultPlan(
+            seed=2,
+            runner=(RunnerFault(kind="crash", spec_index=3),),
+        )
+        again = FaultPlan.from_json(plan.to_json())
+        assert again == plan
+        assert plan_digest(again) == plan_digest(plan)
+        entry = again.runner[0].to_dict()
+        assert entry["spec_index"] == 3
+        assert "spec_digest" not in entry
+        assert "unit_index" not in entry
+        assert plan_digest(plan) != plan_digest(
+            FaultPlan(seed=2, runner=(RunnerFault("crash", 0),))
+        )
+
     def test_digest_ignores_label_but_not_faults(self):
         base = FaultPlan(seed=1, runner=(RunnerFault("transient", 0),))
         relabeled = FaultPlan(
