@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Mapping, Tuple
 
 from repro.sim.spec import canonical_json
@@ -104,6 +104,18 @@ class PlanError(ValueError):
     """A fault plan references an unknown kind or a bad value."""
 
 
+def _check_entry_keys(layer: str, cls: type, data: Mapping[str, Any]) -> None:
+    """Refuse a ``layer`` fault entry holding a key ``cls`` does not
+    declare, so a typo or a stale address is an error, never dropped."""
+    known = tuple(field.name for field in fields(cls))
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise PlanError(
+            f"unknown {layer} fault keys {unknown}; expected keys from "
+            f"{known}"
+        )
+
+
 @dataclass(frozen=True)
 class RunnerFault:
     """Make the work unit containing the ``spec_index``-th spec misbehave.
@@ -149,7 +161,9 @@ class RunnerFault:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunnerFault":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`; an unknown key raises
+        :class:`PlanError`."""
+        _check_entry_keys("runner", cls, data)
         return cls(
             kind=str(data["kind"]),
             spec_index=int(data["spec_index"]),
@@ -198,7 +212,9 @@ class EngineFault:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "EngineFault":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`; an unknown key raises
+        :class:`PlanError`."""
+        _check_entry_keys("engine", cls, data)
         return cls(
             phase=str(data["phase"]),
             spec_index=int(data["spec_index"]),
@@ -278,7 +294,9 @@ class FsFault:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FsFault":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`; an unknown key raises
+        :class:`PlanError`."""
+        _check_entry_keys("fs", cls, data)
         return cls(
             kind=str(data["kind"]),
             op=str(data.get("op", "any")),

@@ -28,7 +28,12 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.graph.snapshot import GraphSnapshot
 from repro.robots.memory import bits_for_state
-from repro.sim.algorithm import Decision, MoveDecision, StayDecision
+from repro.sim.algorithm import (
+    Decision,
+    MoveDecision,
+    RobotAlgorithm,
+    StayDecision,
+)
 from repro.sim.engine import RoundState, SimulationEngine, SimulationError
 from repro.sim.observation import (
     InfoPacket,
@@ -343,16 +348,29 @@ class ReferenceBackend(EngineBackend):
         """Peak persistent bits across alive honest robots of ``state``.
 
         Byzantine robots are adversarial and unbounded; auditing them
-        would be meaningless.
+        would be meaningless.  An algorithm that keeps the default
+        ID-only :meth:`~repro.sim.algorithm.RobotAlgorithm.persistent_state`
+        is charged once, on the largest honest ID: the bit cost of an
+        ID is monotone in it, and the largest is the one that can exceed
+        its declared bound.
         """
         engine = self.engine
         algorithm = engine.algorithm
         bounds = algorithm.persistent_state_bounds(engine.k, engine.n)
-        peak = 0
-        for robot_id in state.honest_positions(engine.byzantine_policies):
-            memory = algorithm.persistent_state(robot_id)
-            peak = max(peak, bits_for_state(memory, bounds=bounds))
-        return peak
+        byzantine = engine.byzantine_policies
+        # Without byzantine robots every alive robot is honest: no copy.
+        honest = (
+            state.honest_positions(byzantine) if byzantine
+            else state.positions
+        )
+        if not honest:
+            return 0
+        if type(algorithm).persistent_state is RobotAlgorithm.persistent_state:
+            return bits_for_state({"id": max(honest)}, bounds=bounds)
+        return max(
+            bits_for_state(algorithm.persistent_state(robot_id), bounds=bounds)
+            for robot_id in honest
+        )
 
     def count_occupied_components(
         self, snapshot: GraphSnapshot, occupied: FrozenSet[int]

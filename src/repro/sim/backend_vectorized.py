@@ -46,7 +46,6 @@ from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.core.dispersion import DispersionDynamic
-from repro.robots.memory import bits_for_state
 from repro.sim.algorithm import Decision, MoveDecision, STAY
 from repro.sim.backend import ReferenceBackend
 from repro.sim.engine import RoundState
@@ -419,9 +418,7 @@ class VectorizedBackend(ReferenceBackend):
         # The arrays model stock fast-mode Algorithm 4 under its declared
         # model: honest robots, global packets with neighborhood
         # knowledge, and no overridden hook (ablation subclasses replace
-        # component_moves, faithful mode recomputes per robot).  Its
-        # persistent state is {"id": robot_id} and bit cost is monotone
-        # in the id, so the memory audit is one call on the largest id.
+        # component_moves, faithful mode recomputes per robot).
         self._fast = (
             not engine.byzantine_policies
             and engine.communication is CommunicationModel.GLOBAL
@@ -431,12 +428,7 @@ class VectorizedBackend(ReferenceBackend):
             and all(
                 getattr(type(algorithm), hook)
                 is getattr(DispersionDynamic, hook)
-                for hook in (
-                    "decide",
-                    "component_moves",
-                    "on_round_start",
-                    "persistent_state",
-                )
+                for hook in ("decide", "component_moves", "on_round_start")
             )
         )
 
@@ -472,15 +464,6 @@ class VectorizedBackend(ReferenceBackend):
                 MoveDecision(port) if port is not None else STAY
             )
         return decisions
-
-    def audit_memory(self, state) -> int:
-        if not self._fast:
-            return super().audit_memory(state)
-        if not state.positions:
-            return 0
-        engine = self.engine
-        bounds = engine.algorithm.persistent_state_bounds(engine.k, engine.n)
-        return bits_for_state({"id": max(state.positions)}, bounds=bounds)
 
     def count_occupied_components(self, snapshot, occupied) -> int:
         if not self._fast:

@@ -452,6 +452,11 @@ class SimulationEngine:
         total_moves = 0
         max_bits = 0
         round_index = 0
+        # The last record's end configuration and its occupied set: the
+        # next record starts from the same dict unless a crash replaced
+        # it, and then shares the frozenset too.
+        last_positions: Optional[Dict[int, int]] = None
+        last_occupied: FrozenSet[int] = frozenset()
         self._state = replace(
             self._state, packets_broadcast=0, packet_deliveries=0
         )
@@ -530,16 +535,22 @@ class SimulationEngine:
             if timeline:
                 self._last_epoch = activation.epoch
             if self._observers:
-                occupied_before = frozenset(state.positions.values())
+                occupied_before = (
+                    last_occupied
+                    if state.positions is last_positions
+                    else frozenset(state.positions.values())
+                )
+                last_positions = after.positions
+                last_occupied = frozenset(last_positions.values())
                 record = RoundRecord(
                     round_index=round_index,
                     positions_before=state.positions,
-                    positions_after=dict(after.positions),
+                    positions_after=last_positions,
                     moved_robots=outcome.moved,
                     crashed_before_communicate=crashed_before,
                     crashed_after_compute=outcome.crashed_after_compute,
                     occupied_before=occupied_before,
-                    occupied_after=frozenset(after.positions.values()),
+                    occupied_after=last_occupied,
                     num_components=self._backend.count_occupied_components(
                         snapshot, occupied_before
                     ),

@@ -39,7 +39,16 @@ class TerminationReason(enum.Enum):
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """Ground-truth record of one executed round."""
+    """Ground-truth record of one executed round.
+
+    The engine keeps one container per configuration: a record's
+    ``positions_before``/``occupied_before`` are the previous record's
+    ``positions_after``/``occupied_after`` objects (unless a
+    before-Communicate crash replaced the configuration), and
+    ``positions_after`` is the engine state's own dict.  Treat them as
+    read-only; copy one (``dict(record.positions_after)``) before
+    editing it.
+    """
 
     round_index: int
     positions_before: Dict[int, int]

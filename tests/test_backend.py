@@ -31,6 +31,7 @@ from repro.core.dispersion import DispersionDynamic
 from repro.graph.dynamic import StaticDynamicGraph
 from repro.graph.generators import FAMILY_BUILDERS
 from repro.robots.memory import bound_bits
+from repro.sim import backend as backend_module
 from repro.sim import backend_vectorized
 from repro.sim.backend import EngineBackend, ReferenceBackend
 from repro.sim.backend_vectorized import (
@@ -494,6 +495,74 @@ class TestArrayPathDecision:
             "arrays": result.rounds + 1,
             "lazy": result.rounds + 1,
         }
+
+
+class TestMemoryAudit:
+    """The ID-only default state is charged once per round; a state the
+    algorithm declares itself is charged robot by robot."""
+
+    STATIC = RunSpec(
+        graph=ComponentSpec(
+            "static_family", {"family": "random_dense", "n": 14, "seed": 4}
+        ),
+        placement=PlacementSpec(kind="rooted", k=9),
+    )
+
+    @staticmethod
+    def _count_audits(monkeypatch):
+        calls = []
+        real = backend_module.bits_for_state
+
+        def counting(state, *, bounds=None):
+            calls.append(dict(state))
+            return real(state, bounds=bounds)
+
+        monkeypatch.setattr(backend_module, "bits_for_state", counting)
+        return calls
+
+    @pytest.mark.parametrize("backend", [None, VECTORIZED])
+    def test_default_state_is_charged_once_per_round(
+        self, monkeypatch, backend
+    ):
+        calls = self._count_audits(monkeypatch)
+        result = execute(self.STATIC.with_(backend=backend))
+        assert result.dispersed and result.rounds > 0
+        assert calls == [{"id": 9}] * result.rounds
+        assert result.max_persistent_bits == bound_bits(9)
+
+    @pytest.mark.parametrize("backend", [ReferenceBackend, VectorizedBackend])
+    def test_default_state_over_its_bound_still_raises(self, backend):
+        class TightIdBound(DispersionDynamic):
+            def persistent_state_bounds(self, k, n):
+                return {"id": k - 1}
+
+        engine = SimulationEngine(
+            StaticDynamicGraph(FAMILY_BUILDERS["random_dense"](
+                14, random.Random(4)
+            )),
+            {robot_id: 0 for robot_id in range(1, 10)},
+            TightIdBound(),
+            backend=backend(),
+        )
+        with pytest.raises(ValueError, match="value 9 exceeds its declared"):
+            engine.run()
+
+    @pytest.mark.parametrize("backend", [None, VECTORIZED])
+    def test_declared_state_is_charged_per_robot(self, monkeypatch, backend):
+        calls = self._count_audits(monkeypatch)
+        result = execute(self.STATIC.with_(
+            algorithm=ComponentSpec("dfs_dispersion_local"),
+            communication="local",
+            backend=backend,
+        ))
+        assert result.dispersed and result.rounds > 0
+        # No crash: every robot is audited after every round.
+        assert len(calls) == 9 * result.rounds
+        assert {call["id"] for call in calls} == set(range(1, 10))
+        # id in [1, 9], settled, parent_port and rotor in [0, n].
+        assert result.max_persistent_bits == (
+            bound_bits(9) + 1 + 2 * bound_bits(14)
+        )
 
 
 # ----------------------------------------------------------------------

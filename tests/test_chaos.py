@@ -142,6 +142,23 @@ class TestFaultPlan:
         with pytest.raises(TypeError):
             RunnerFault(kind="crash")
 
+    def test_unknown_entry_keys_are_refused_by_name(self):
+        # A stale address or a typo inside an entry is an error, not a
+        # key dropped on the way to a fault at the default round.
+        plan = {
+            "format_version": 2,
+            "runner": [{"kind": "crash", "spec_index": 3, "unit_index": 7}],
+            "engine": [{"phase": "on_move", "spec_index": 1, "rounds": 4}],
+        }
+        with pytest.raises(PlanError, match=r"runner fault keys \['unit_index'\]"):
+            FaultPlan.from_dict(plan)
+        with pytest.raises(PlanError, match=r"engine fault keys \['rounds'\]"):
+            FaultPlan.from_dict(dict(plan, runner=[]))
+        with pytest.raises(PlanError, match=r"fs fault keys \['index'\]"):
+            FaultPlan.from_dict(
+                {"fs": [{"kind": "eio", "op": "replace", "index": 2}]}
+            )
+
     def test_failure_record_round_trip_and_order(self):
         records = [
             FailureRecord(unit=3, attempt=1, kind="timeout", detail="b"),

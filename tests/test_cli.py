@@ -184,6 +184,18 @@ class TestChaosCommand:
         err = capsys.readouterr().err
         assert "cannot read" in err and "invalid fault plan" in err
 
+    def test_plan_with_unknown_entry_key_exits_two(self, tmp_path, capsys):
+        import json
+
+        plan = tmp_path / "typo.json"
+        plan.write_text(json.dumps({
+            "format_version": 2,
+            "runner": [{"kind": "crash", "spec_index": 3, "unit_index": 7}],
+            "engine": [{"phase": "on_move", "spec_index": 1, "rounds": 4}],
+        }))
+        assert main(["chaos", "--plan", str(plan), "--quick"]) == 2
+        assert "unit_index" in capsys.readouterr().err
+
 
 class TestCacheGcPurgeQuarantine:
     def test_purge_flag_reports_purged_count(self, tmp_path, capsys):

@@ -20,6 +20,7 @@ from repro.sim.algorithm import (
 )
 from repro.sim.engine import SimulationEngine, SimulationError
 from repro.sim.metrics import TerminationReason
+from repro.sim.spec import ComponentSpec, build_backend
 from repro.sim.observation import CommunicationModel, Observation
 from repro.core.dispersion import DispersionDynamic
 
@@ -330,6 +331,52 @@ class TestRecords:
         assert result.dispersed
         assert result.records == []
         assert result.occupied_trajectory() == [1]
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_consecutive_records_share_containers(self, backend):
+        # One dict and one frozenset per configuration: a round starts
+        # from the container the previous round ended in.
+        result = SimulationEngine(
+            StaticDynamicGraph(path_graph(12)),
+            RobotSet.rooted(8, 12),
+            DispersionDynamic(),
+            backend=build_backend(ComponentSpec(backend)),
+        ).run()
+        records = result.records
+        assert result.dispersed and len(records) >= 2
+        for previous, record in zip(records, records[1:]):
+            assert record.positions_before is previous.positions_after
+            assert record.occupied_before is previous.occupied_after
+        for record in records:
+            assert record.occupied_after == frozenset(
+                record.positions_after.values()
+            )
+        assert records[-1].positions_after == result.final_positions
+
+    @pytest.mark.parametrize("backend", ["reference", "vectorized"])
+    def test_before_communicate_crash_breaks_the_sharing(self, backend):
+        schedule = CrashSchedule.from_mapping(
+            {3: (2, CrashPhase.BEFORE_COMMUNICATE)}
+        )
+        records = SimulationEngine(
+            StaticDynamicGraph(path_graph(12)),
+            RobotSet.rooted(8, 12),
+            DispersionDynamic(),
+            crash_schedule=schedule,
+            backend=build_backend(ComponentSpec(backend)),
+        ).run().records
+        previous, record = records[1], records[2]
+        assert record.crashed_before_communicate == (3,)
+        assert record.positions_before is not previous.positions_after
+        assert record.occupied_before is not previous.occupied_after
+        survivors = dict(previous.positions_after)
+        del survivors[3]
+        assert record.positions_before == survivors
+        assert record.occupied_before == frozenset(survivors.values())
+        assert 3 in previous.positions_after  # the earlier record kept it
+        # The round after the crash shares again.
+        assert records[3].positions_before is record.positions_after
+        assert records[3].occupied_before is record.occupied_after
 
     def test_adversary_receives_context(self):
         contexts = []
