@@ -538,6 +538,15 @@ class RunSpec:
 # ----------------------------------------------------------------------
 
 
+#: Exact types that are already canonical, as keys and as leaf values.
+#: Exact, not ``isinstance``: ``str(k) == k`` holds only for an exact
+#: ``str`` key (a ``(str, Enum)`` member stringifies to its name).
+_CANONICAL_KEY_TYPES: FrozenSet[type] = frozenset({str})
+_CANONICAL_LEAF_TYPES: FrozenSet[type] = frozenset(
+    {str, int, bool, type(None)}
+)
+
+
 def _canonical_value(value: Any) -> Any:
     """Normalize a spec payload value for stable hashing.
 
@@ -546,7 +555,21 @@ def _canonical_value(value: Any) -> Any:
     become lists, and integral floats collapse to ints so ``1.0`` and
     ``1`` -- the same value to every component factory -- share a digest.
     Non-finite floats are rejected: they have no canonical JSON form.
+
+    A plain ``dict`` with ``str`` keys, or a plain ``list``/``tuple``,
+    whose values are all ``str``/``int``/``bool``/``None`` is already in
+    that form and comes back as it is (``json.dumps`` writes a tuple as
+    a list).  Its types are checked once per container, not per value.
     """
+    kind = type(value)
+    if kind is dict:
+        if _CANONICAL_KEY_TYPES.issuperset(map(type, value)) and (
+            _CANONICAL_LEAF_TYPES.issuperset(map(type, value.values()))
+        ):
+            return value
+    elif kind is list or kind is tuple:
+        if _CANONICAL_LEAF_TYPES.issuperset(map(type, value)):
+            return value
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, float):

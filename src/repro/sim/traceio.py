@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, Optional
+from typing import Any, Dict, FrozenSet, List, Optional
 
 from repro.graph.dynamic import DynamicGraph, SequenceDynamicGraph
 from repro.graph.snapshot import GraphSnapshot
@@ -110,24 +110,45 @@ def script_from_dict(data: Dict[str, Any], *, tail: str = "hold") -> SequenceDyn
 
 
 def run_result_to_dict(result: RunResult) -> Dict[str, Any]:
-    """Full dict export of a run (JSON-serializable, lossless)."""
+    """Full dict export of a run (JSON-serializable, lossless).
+
+    Records share their configuration containers (see
+    :class:`~repro.sim.metrics.RoundRecord`), so each positions dict and
+    occupied set is converted once and the export shares the converted
+    dict or list the same way.  Treat the output as read-only.
+    """
+    # Keyed on id(): every key's object stays alive in result.records
+    # for the whole call, so no id is reused.
+    positions_done: Dict[int, Dict[str, int]] = {}
+    occupied_done: Dict[int, List[int]] = {}
+
+    def positions(mapping: Dict[int, int]) -> Dict[str, int]:
+        done = positions_done.get(id(mapping))
+        if done is None:
+            done = positions_done[id(mapping)] = {
+                str(r): v for r, v in mapping.items()
+            }
+        return done
+
+    def occupied(nodes: FrozenSet[int]) -> List[int]:
+        done = occupied_done.get(id(nodes))
+        if done is None:
+            done = occupied_done[id(nodes)] = sorted(nodes)
+        return done
+
     records = []
     for record in result.records:
         entry: Dict[str, Any] = {
             "round": record.round_index,
-            "positions_before": {
-                str(r): v for r, v in record.positions_before.items()
-            },
-            "positions_after": {
-                str(r): v for r, v in record.positions_after.items()
-            },
+            "positions_before": positions(record.positions_before),
+            "positions_after": positions(record.positions_after),
             "moved": list(record.moved_robots),
             "crashed_before_communicate": list(
                 record.crashed_before_communicate
             ),
             "crashed_after_compute": list(record.crashed_after_compute),
-            "occupied_before": sorted(record.occupied_before),
-            "occupied_after": sorted(record.occupied_after),
+            "occupied_before": occupied(record.occupied_before),
+            "occupied_after": occupied(record.occupied_after),
             "num_components": record.num_components,
             "max_persistent_bits": record.max_persistent_bits,
         }

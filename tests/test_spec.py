@@ -12,9 +12,17 @@ Covers the ISSUE's satellite contracts:
   path is abstracted away.
 """
 
+import collections
+import enum
+import json
+import math
 import random
+import types
+from typing import Mapping
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dispersion import DispersionDynamic
 from repro.graph.dynamic import RandomChurnDynamicGraph
@@ -26,7 +34,9 @@ from repro.sim.spec import (
     PlacementSpec,
     RunSpec,
     SpecError,
+    _canonical_value,
     build_engine,
+    canonical_json,
     canonical_spec_json,
     execute,
     make_spec,
@@ -261,3 +271,121 @@ class TestDigest:
         )
         with pytest.raises(SpecError, match="non-finite"):
             canonical_spec_json(spec)
+
+
+# ----------------------------------------------------------------------
+# The canonical form against a per-scalar oracle
+# ----------------------------------------------------------------------
+
+
+def _oracle_canonical_value(value):
+    """The per-scalar canonical form: every container rebuilt, every
+    scalar visited.  ``canonical_json`` must give the same bytes."""
+    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, float):
+        if math.isnan(value) or math.isinf(value):
+            raise SpecError(f"non-finite float {value!r}")
+        if value == int(value) and abs(value) < 2**53:
+            return int(value)
+        return value
+    if isinstance(value, Mapping):
+        return {str(k): _oracle_canonical_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_oracle_canonical_value(v) for v in value]
+    raise SpecError(f"value {value!r} is not JSON-serializable")
+
+
+def _oracle_canonical_json(data):
+    return json.dumps(
+        _oracle_canonical_value(data),
+        sort_keys=True,
+        separators=(",", ":"),
+        allow_nan=False,
+    )
+
+
+class _Color(str, enum.Enum):
+    RED = "red"
+    BLUE = "blue"
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 12
+
+
+_CANONICAL_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=4)
+)
+_KEYS = st.one_of(
+    st.text(max_size=4),
+    # 10 < 9 as strings: stringified before sorting, they sort as text
+    st.integers(min_value=10, max_value=10**6),
+    st.booleans(),
+    st.sampled_from(list(_Color)),
+)
+_FLOATS = st.one_of(
+    st.integers(min_value=-(2**60), max_value=2**60).map(float),
+    st.sampled_from(
+        [2.0**53, -(2.0**53), 2.0**53 + 2, 1e300, 0.5, -0.0,
+         math.nan, math.inf, -math.inf]
+    ),
+    st.floats(),
+)
+_ODD_LEAVES = st.one_of(
+    st.sampled_from(list(_Level)),
+    st.sets(st.integers(), max_size=2),
+    st.binary(max_size=2),
+    st.builds(object),
+)
+
+
+def _containers(children):
+    dicts = st.dictionaries(_KEYS, children, max_size=4)
+    return st.one_of(
+        st.dictionaries(st.text(max_size=4), _CANONICAL_LEAVES, max_size=4),
+        st.lists(_CANONICAL_LEAVES, max_size=4),
+        dicts,
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        dicts.map(collections.OrderedDict),
+        dicts.map(types.MappingProxyType),
+    )
+
+
+_VALUES = st.recursive(
+    st.one_of(_CANONICAL_LEAVES, _FLOATS, _ODD_LEAVES),
+    _containers,
+    max_leaves=12,
+)
+
+
+def _outcome(canonicalize, value):
+    try:
+        return canonicalize(value)
+    except Exception as error:  # the exception type is the outcome
+        return type(error)
+
+
+class TestCanonicalForm:
+    """``canonical_json`` checks types per container; a per-scalar
+    oracle pins that it writes the same bytes, or raises the same way."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_VALUES)
+    def test_matches_the_per_scalar_oracle(self, value):
+        assert _outcome(canonical_json, value) == _outcome(
+            _oracle_canonical_json, value
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(
+            st.dictionaries(st.text(), _CANONICAL_LEAVES),
+            st.lists(_CANONICAL_LEAVES),
+            st.lists(_CANONICAL_LEAVES).map(tuple),
+        )
+    )
+    def test_canonical_container_comes_back_as_is(self, value):
+        assert _canonical_value(value) is value

@@ -10,6 +10,7 @@ Covers the ISSUE's cache-semantics contracts:
 * ``gc`` / ``clear`` / ``stats`` behave as documented.
 """
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -142,6 +143,23 @@ class TestStoreIntegrity:
             payload["salt"],
             payload["spec"],
             payload["result"],
+        )
+
+    def test_known_entry_is_pinned(self, tmp_path):
+        # Regression pin on the canonical form and the entry layout, as
+        # test_known_digest_is_pinned is on the spec digest: if either
+        # moves, entries written by earlier code stop re-deriving their
+        # checksum.  Re-pin only together with a CODE_VERSION_SALT bump
+        # or a LAYOUT_VERSION change.
+        store = RunStore(tmp_path, clock=lambda: 1_700_000_000.0)
+        spec = _spec()
+        path = store.path_for(store.put(spec, repro.execute(spec)))
+        raw = path.read_bytes()
+        assert json.loads(raw)["checksum"] == (
+            "7b53ef738ab8848853727cebf51cb1590954f49580b9a9a165cdbc87706a7627"
+        )
+        assert hashlib.sha256(raw).hexdigest() == (
+            "1f2c8769748116fb103113d0cc182ccd8fe98ef0ef08e610755e92190f840013"
         )
 
     def test_checksum_mismatch_is_quarantined_and_recomputed(self, tmp_path):

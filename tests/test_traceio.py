@@ -10,9 +10,11 @@ from repro.graph.dynamic import RandomChurnDynamicGraph
 from repro.graph.generators import path_graph, random_connected_graph
 from repro.robots.robot import RobotSet
 from repro.sim.engine import SimulationEngine
+from repro.sim.spec import ComponentSpec, CrashSpec, execute, make_spec
 from repro.sim.traceio import (
     dynamic_graph_to_script,
     replay_and_verify,
+    run_result_from_dict,
     run_result_to_dict,
     run_result_to_json,
     script_from_dict,
@@ -114,7 +116,6 @@ class TestRunResultExport:
 
     def test_scheduler_timeline_round_trips(self):
         from repro.sim.scheduling import AsyncScheduler
-        from repro.sim.traceio import run_result_from_dict
 
         dyn = RandomChurnDynamicGraph(12, extra_edges=5, seed=4)
         result = SimulationEngine(
@@ -131,6 +132,95 @@ class TestRunResultExport:
         assert restored.final_epoch == result.final_epoch
         assert restored.activation_timeline() == result.activation_timeline()
         assert restored.activation_timeline()
+
+
+def _per_record_dict(result):
+    """The export with every record's containers converted afresh: the
+    layout ``run_result_to_dict`` must match byte for byte."""
+    payload = run_result_to_dict(result)
+    for entry, record in zip(payload["records"], result.records):
+        for field in ("positions_before", "positions_after"):
+            entry[field] = {
+                str(r): v for r, v in getattr(record, field).items()
+            }
+        for field in ("occupied_before", "occupied_after"):
+            entry[field] = sorted(getattr(record, field))
+    return payload
+
+
+class TestSharedRecordContainers:
+    """Each configuration container of the records is converted once, and
+    the export shares the converted dict or list as the records do."""
+
+    BEFORE_COMMUNICATE_ROUND = 2
+
+    def crash_run(self):
+        return execute(
+            make_spec(
+                "random_churn",
+                {"n": 16, "extra_edges": 8},
+                k=10,
+                seed=5,
+                collect_records=True,
+                crash=CrashSpec(
+                    kind="events",
+                    events=(
+                        (1, self.BEFORE_COMMUNICATE_ROUND, "before_communicate"),
+                        (3, 3, "after_compute"),
+                    ),
+                ),
+            )
+        )
+
+    def ssync_run(self):
+        return execute(
+            make_spec(
+                "random_churn",
+                {"n": 16, "extra_edges": 8},
+                k=10,
+                seed=5,
+                collect_records=True,
+                scheduler=ComponentSpec(
+                    "ssync", {"policy": "random_subset", "p": 0.3, "seed": 3}
+                ),
+            )
+        )
+
+    def test_consecutive_fsync_records_share_containers(self):
+        records = run_result_to_dict(TestRunResultExport().run())["records"]
+        assert len(records) >= 2
+        for previous, entry in zip(records, records[1:]):
+            assert entry["positions_before"] is previous["positions_after"]
+            assert entry["occupied_before"] is previous["occupied_after"]
+
+    def test_before_communicate_crash_breaks_sharing(self):
+        result = self.crash_run()
+        crash = self.BEFORE_COMMUNICATE_ROUND
+        assert result.rounds > crash
+        records = run_result_to_dict(result)["records"]
+        previous, entry = records[crash - 1], records[crash]
+        assert entry["positions_before"] is not previous["positions_after"]
+        assert entry["occupied_before"] is not previous["occupied_after"]
+        assert "1" in previous["positions_after"]
+        assert "1" not in entry["positions_before"]
+        record = result.records[crash]
+        assert entry["positions_before"] == {
+            str(r): v for r, v in record.positions_before.items()
+        }
+        assert entry["occupied_before"] == sorted(record.occupied_before)
+
+    @pytest.mark.parametrize("run", ["crash_run", "ssync_run"])
+    def test_bytes_match_a_per_record_conversion(self, run):
+        result = getattr(self, run)()
+        assert json.dumps(run_result_to_dict(result), sort_keys=True) == (
+            json.dumps(_per_record_dict(result), sort_keys=True)
+        )
+
+    @pytest.mark.parametrize("run", ["crash_run", "ssync_run"])
+    def test_round_trips(self, run):
+        result = getattr(self, run)()
+        payload = json.loads(json.dumps(run_result_to_dict(result)))
+        assert run_result_from_dict(payload) == result
 
 
 class TestReplay:
