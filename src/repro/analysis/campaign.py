@@ -795,8 +795,9 @@ def _section_semisync(scale: str, runner: Runner) -> CampaignSection:
     specs = [
         _rooted_spec(
             "random_churn", {"n": n, "extra_edges": n // 2, "seed": seed}, k,
-            activation=None if p >= 1.0 else ComponentSpec(
-                "random_subset", {"p": p, "seed": seed * 13 + 1}
+            scheduler=None if p >= 1.0 else ComponentSpec(
+                "ssync",
+                {"policy": "random_subset", "p": p, "seed": seed * 13 + 1},
             ),
             max_rounds=4000,
             collect_records=True,

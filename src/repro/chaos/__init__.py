@@ -25,14 +25,15 @@ Plans are ``format_version`` 2.  A version-1 plan is rejected: move each
 runner fault by the ``spec_index`` its ``unit_index`` or
 ``spec_digest`` meant.
 
-:func:`~repro.chaos.replay.replay_plan` replays a plan against the
-reproduction campaign (or any spec grid) and checks *bit-identical
-convergence* against a fault-free baseline, returning the tolerated
-faults as a canonical :class:`~repro.chaos.failures.FailureRecord`
-stream.  :func:`~repro.chaos.replay.run_crash_matrix` is the
-crash-consistency half: it simulates a crash at *every* filesystem-op
-boundary of the store's write, recompute and gc workloads and asserts
-the recovery invariants at each.  ``repro chaos --plan plan.json`` and
+:func:`~repro.chaos.replay.replay_plan` replays a plan against one
+committed spec grid (:func:`~repro.chaos.replay.chaos_grid`, or any
+grid the caller passes) and checks *bit-identical convergence* against
+a fault-free baseline, returning the tolerated faults as a canonical
+:class:`~repro.chaos.failures.FailureRecord` stream.
+:func:`~repro.chaos.replay.run_crash_matrix` is the crash-consistency
+half: it simulates a crash at *every* filesystem-op boundary of the
+store's write, recompute and gc workloads and asserts the recovery
+invariants at each.  ``repro chaos --plan plan.json`` and
 ``repro chaos --crash-matrix`` are the CLI entry points;
 ``docs/robustness.md`` is the narrative.
 """
@@ -70,8 +71,9 @@ from repro.chaos.plan import (
 from repro.chaos.replay import (
     ChaosReport,
     CrashMatrixReport,
-    RecordingRunner,
+    chaos_grid,
     replay_plan,
+    results_fingerprint,
     run_crash_matrix,
 )
 from repro.chaos.runner import ChaosPoolRunner
@@ -97,16 +99,17 @@ __all__ = [
     "FsFault",
     "PhaseFaultObserver",
     "PlanError",
-    "RecordingRunner",
     "RUNNER_FAULT_KINDS",
     "RunnerFault",
     "SimulatedCrash",
     "VfsOp",
+    "chaos_grid",
     "chaos_vfs_for_plan",
     "diff_failure_streams",
     "load_failure_stream",
     "plan_digest",
     "render_failure_stream",
     "replay_plan",
+    "results_fingerprint",
     "run_crash_matrix",
 ]

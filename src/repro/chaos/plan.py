@@ -3,7 +3,7 @@
 A :class:`FaultPlan` is to chaos what a :class:`~repro.sim.spec.RunSpec`
 is to a simulation run: pure data naming every fault to inject, JSON
 round-trippable, and content-addressable (:func:`plan_digest`).  A plan
-fully determines a chaos replay -- same plan, same campaign, same
+fully determines a chaos replay -- same plan, same spec grid, same
 failure stream, same results -- which is what lets the chaos suite
 assert convergence as a golden test instead of eyeballing flaky logs.
 
@@ -312,10 +312,12 @@ class FaultPlan:
 
     Keep concurrent fault *windows* disjoint for a fully deterministic
     failure stream: a ``crash`` and a ``hang`` whose units are in flight
-    simultaneously race over which one breaks the pool first.  Targeting
-    units dispatched by different ``run()`` calls (different campaign
-    sections) guarantees disjointness, since each call completes before
-    the next begins.
+    simultaneously race over which one breaks the pool first.  A plan
+    replay dispatches its whole grid in one ``run()`` call, so keep
+    breakage faults several specs apart (more than the pool's worker
+    count); targeting units dispatched by different ``run()`` calls
+    guarantees disjointness, since each call completes before the next
+    begins.
     """
 
     seed: int = 0

@@ -1,12 +1,14 @@
-"""Replay a fault plan against a workload and check convergence.
+"""Replay a fault plan against the committed spec grid and check convergence.
 
 :func:`replay_plan` is the chaos harness's top half, what the ``repro
-chaos`` CLI drives.  It executes the same workload three times:
+chaos`` CLI drives.  It runs one spec grid -- :func:`chaos_grid` unless
+the caller passes another -- three times, each pass one ``run(specs)``
+call:
 
 1. **baseline** -- serially, no store, no faults: the ground truth
    fingerprint;
-2. **cold chaos** -- through the full chaos stack (recording wrapper ->
-   caching over a :class:`~repro.sim.store.RunStore` whose
+2. **cold chaos** -- through the full chaos stack (caching over a
+   :class:`~repro.sim.store.RunStore` whose
    :class:`~repro.chaos.fs.ChaosVFS` carries the plan's fs faults -> a
    :class:`~repro.chaos.runner.ChaosPoolRunner` whose workers write
    through a clean store at the same root).  Runner, engine and
@@ -15,24 +17,26 @@ chaos`` CLI drives.  It executes the same workload three times:
    entries, so the plan's read faults bite in the ChaosVFS read path:
    corrupted entries must be detected, quarantined and recomputed.
 
-Every pass's results are folded into a sha256 *fingerprint* (canonical
-JSON of each :class:`~repro.sim.metrics.RunResult`, in execution order),
-so "the chaos run converged" is a bit-identity check, not a statistical
-one: :attr:`ChaosReport.converged` holds iff both chaos fingerprints
-equal the baseline.  The tolerated faults come back as the canonically
-sorted :class:`~repro.chaos.failures.FailureRecord` stream, which a
-seeded plan reproduces identically on every replay -- the golden-test
-property ``tests/test_chaos.py`` pins.
+Each pass's result list is folded into one sha256 *fingerprint*
+(:func:`results_fingerprint`, over each result's
+:func:`~repro.sim.traceio.run_fingerprint` in grid order), so "the
+chaos run converged" is a bit-identity check, not a statistical one:
+:attr:`ChaosReport.converged` holds iff both chaos fingerprints equal
+the baseline.  The tolerated faults come back as the canonically sorted
+:class:`~repro.chaos.failures.FailureRecord` stream, which a seeded plan
+reproduces identically on every replay -- the golden-test property
+``tests/test_chaos.py`` pins.
 
 :func:`run_crash_matrix` is the harness's *crash-consistency* half, what
 ``repro chaos --crash-matrix`` drives.  Instead of replaying one plan,
 it enumerates **every** filesystem-operation boundary of three store
-workloads -- cold write, cache-miss recompute, and two-phase gc
-compaction (with a concurrent writer racing the eviction) -- and, at
-each boundary, simulates a crash (:class:`~repro.chaos.fs.SimulatedCrash`),
-materializes each reachable post-crash disk image
-(:data:`~repro.chaos.fs.CRASH_IMAGE_MODES`), restarts against the
-surviving tree, and asserts the recovery invariants:
+workloads over the grid's first three specs -- cold write, cache-miss
+recompute, and two-phase gc compaction (with a concurrent writer racing
+the eviction) -- and, at each boundary, simulates a crash
+(:class:`~repro.chaos.fs.SimulatedCrash`), materializes each reachable
+post-crash disk image (:data:`~repro.chaos.fs.CRASH_IMAGE_MODES`),
+restarts against the surviving tree, and asserts the recovery
+invariants:
 
 1. **no torn read** -- ``get`` never returns a result that differs from
    the fault-free baseline (torn/corrupt entries are misses, not lies);
@@ -65,58 +69,86 @@ from repro.chaos.fs import (
     chaos_vfs_for_plan,
     corrupt_entry_bytes,
 )
-from repro.chaos.plan import FaultPlan, plan_digest
+from repro.chaos.plan import FaultPlan, PlanError, plan_digest
 from repro.chaos.runner import ChaosPoolRunner
 from repro.sim.metrics import RunResult
-from repro.sim.runner import Runner, SerialRunner
-from repro.sim.spec import RunSpec, canonical_json, make_spec
+from repro.sim.runner import SerialRunner
+from repro.sim.spec import ComponentSpec, CrashSpec, RunSpec, make_spec
 from repro.sim.store import (
     STALE_TMP_GRACE_SECONDS,
     CachingRunner,
     RunStore,
 )
-from repro.sim.traceio import run_result_to_dict
+from repro.sim.traceio import run_fingerprint
 
 
-def _result_json(result: RunResult) -> str:
-    """The canonical JSON of a result: what fingerprints and checks compare."""
-    return canonical_json(run_result_to_dict(result))
+def chaos_grid() -> List[RunSpec]:
+    """The committed spec grid every plan replay runs against.
 
-
-class RecordingRunner(Runner):
-    """Wraps any runner, folding every result into a sha256 fingerprint.
-
-    The fingerprint is over the canonical JSON of each result in
-    execution order, so two runs fingerprint alike iff they produced
-    bit-identical results in the same order -- across backends, stores
-    and fault plans.
+    Small enough that one serial pass takes a fraction of a second,
+    varied enough that every layer of the stack sees distinct work: the
+    crash matrix's three ring specs first (:func:`run_crash_matrix`
+    re-runs them at every crash point), then each model -- FSYNC, the
+    faithful compute, SSYNC, ASYNC and random crashes -- on a churning
+    and a static graph, under both backends.  Every spec runs at least
+    one round with records on, so an engine fault at round 0 always
+    fires.  A plan's ``spec_index`` addresses a position in this list;
+    each spec draws its own seed, its position.
     """
+    specs = [
+        make_spec(
+            "ring",
+            {"n": 6},
+            k=4,
+            seed=seed,
+            label=f"crash-matrix seed={seed}",
+        )
+        for seed in range(3)
+    ]
+    graphs = (
+        ("random_churn", {"n": 12, "extra_edges": 6}),
+        ("static_family", {"n": 12, "family": "random_sparse"}),
+    )
+    models: Dict[str, Dict[str, Any]] = {
+        "fsync": {},
+        "faithful": {"algorithm_params": {"faithful": True}},
+        "ssync": {
+            "scheduler": ComponentSpec(
+                "ssync", {"policy": "random_subset", "p": 0.6, "seed": 1}
+            )
+        },
+        "async": {
+            "scheduler": ComponentSpec("async", {"seed": 2, "max_delay": 3})
+        },
+        "crash": {"crash": CrashSpec(kind="random", f=2, max_round=3)},
+    }
+    for graph, params in graphs:
+        for model, extra in models.items():
+            for backend in ("reference", "vectorized"):
+                specs.append(
+                    make_spec(
+                        graph,
+                        params,
+                        k=8,
+                        seed=len(specs),
+                        backend=ComponentSpec(backend),
+                        label=f"chaos {graph} {model} {backend}",
+                        **extra,
+                    )
+                )
+    return specs
 
-    name = "recording"
 
-    def __init__(self, inner: Runner) -> None:
-        self.inner = inner
-        self.count = 0
-        self._hash = hashlib.sha256()
-        self.name = f"recording[{inner.name}]"
+def results_fingerprint(results: Sequence[RunResult]) -> str:
+    """One sha256 over each result's :func:`run_fingerprint`, in order.
 
-    def run(self, specs: Sequence[RunSpec]) -> List[RunResult]:
-        """Delegate to the wrapped backend, hashing the results."""
-        results = self.inner.run(specs)
-        for result in results:
-            self._hash.update(_result_json(result).encode("utf-8"))
-            self._hash.update(b"\n")
-        self.count += len(results)
-        return results
-
-    @property
-    def fingerprint(self) -> str:
-        """The hex digest over every result recorded so far."""
-        return self._hash.hexdigest()
-
-    def close(self) -> None:
-        """Close the wrapped backend."""
-        self.inner.close()
+    Two result lists fingerprint alike iff they are bit-identical run by
+    run, in the same order -- across backends, stores and fault plans.
+    """
+    digest = hashlib.sha256()
+    for result in results:
+        digest.update(run_fingerprint(result).encode("ascii"))
+    return digest.hexdigest()
 
 
 @dataclass
@@ -125,13 +157,11 @@ class ChaosReport:
 
     plan: Dict[str, Any]
     plan_digest: str
-    workload: str
     runs: int
     baseline_fingerprint: str
     cold_fingerprint: str
     warm_fingerprint: str
     corrupt_entries: int
-    campaign_passed: bool
     failures: List[FailureRecord] = field(default_factory=list)
 
     @property
@@ -142,26 +172,18 @@ class ChaosReport:
             and self.warm_fingerprint == self.baseline_fingerprint
         )
 
-    @property
-    def ok(self) -> bool:
-        """Converged, and the workload's own verdicts still pass."""
-        return self.converged and self.campaign_passed
-
     def to_dict(self) -> Dict[str, Any]:
         """Machine-readable form (what ``repro chaos --json`` writes)."""
         return {
             "kind": "chaos_report",
             "plan": self.plan,
             "plan_digest": self.plan_digest,
-            "workload": self.workload,
             "runs": self.runs,
             "baseline_fingerprint": self.baseline_fingerprint,
             "cold_fingerprint": self.cold_fingerprint,
             "warm_fingerprint": self.warm_fingerprint,
             "corrupt_entries": self.corrupt_entries,
-            "campaign_passed": self.campaign_passed,
             "converged": self.converged,
-            "ok": self.ok,
             "failures": [record.to_dict() for record in self.failures],
         }
 
@@ -170,13 +192,11 @@ class ChaosReport:
         verdict = "CONVERGED" if self.converged else "DIVERGED"
         lines = [
             f"chaos replay [{verdict}] plan {self.plan_digest[:12]} "
-            f"({self.workload}, {self.runs} runs/pass)",
+            f"({self.runs} runs/pass)",
             f"  faults tolerated: {len(self.failures)} "
             f"({self._kind_summary()})",
             f"  corrupt entries detected + quarantined: "
             f"{self.corrupt_entries}",
-            f"  workload verdicts: "
-            f"{'PASS' if self.campaign_passed else 'FAIL'}",
             f"  baseline {self.baseline_fingerprint[:16]} / "
             f"cold {self.cold_fingerprint[:16]} / "
             f"warm {self.warm_fingerprint[:16]}",
@@ -199,49 +219,38 @@ class ChaosReport:
         )
 
 
-def _run_workload(
-    runner: Runner,
-    scale: str,
-    specs: Optional[Sequence[RunSpec]],
-) -> bool:
-    """Run the campaign (or an explicit spec grid) through ``runner``."""
-    if specs is not None:
-        runner.run(list(specs))
-        return True
-    from repro.analysis.campaign import run_campaign
-
-    return run_campaign(scale, runner=runner).all_passed
-
-
 def replay_plan(
     plan: FaultPlan,
     root: Union[str, os.PathLike],
     *,
-    scale: str = "quick",
     specs: Optional[Sequence[RunSpec]] = None,
     jobs: int = 2,
     timeout: float = 5.0,
     baseline_fingerprint: Optional[str] = None,
 ) -> ChaosReport:
-    """Replay ``plan`` against a workload; see the module docstring.
+    """Replay ``plan`` against a spec grid; see the module docstring.
 
     ``root`` must be a fresh directory per replay: it receives the chaos
     run's store (``<root>/store``) and the plan's fault-budget counters
     (``<root>/claims``), and a reused root would replay against spent
-    budgets.  The workload is the reproduction campaign at ``scale``,
-    or an explicit ``specs`` grid.  ``baseline_fingerprint`` skips the
-    baseline pass when the caller already knows it (e.g. the second
-    replay of a golden pair).
+    budgets.  The grid is ``specs``, by default :func:`chaos_grid`; a
+    runner or engine fault whose ``spec_index`` lies past its end
+    addresses nothing and raises :class:`PlanError` before any pass
+    runs.  ``baseline_fingerprint`` skips the baseline pass when the
+    caller already knows it (e.g. the second replay of a golden pair).
     """
+    grid = chaos_grid() if specs is None else list(specs)
+    for fault in (*plan.runner, *plan.engine):
+        if fault.spec_index >= len(grid):
+            raise PlanError(
+                f"{type(fault).__name__} spec_index {fault.spec_index} "
+                f"addresses no spec of the {len(grid)}-spec grid"
+            )
     root = pathlib.Path(root)
     store_root = root / "store"
-    workdir = root / "claims"
 
-    workload = f"campaign:{scale}" if specs is None else f"grid:{len(specs)}"
     if baseline_fingerprint is None:
-        baseline = RecordingRunner(SerialRunner())
-        _run_workload(baseline, scale, specs)
-        baseline_fingerprint = baseline.fingerprint
+        baseline_fingerprint = results_fingerprint(SerialRunner().run(grid))
 
     # Only the parent-side store injects: its entry reads are counted
     # serially, so read faults land deterministically.
@@ -253,30 +262,26 @@ def replay_plan(
     writes_faulted = any(fault.op != "read_bytes" for fault in plan.fs)
     pool = ChaosPoolRunner(
         plan,
-        workdir,
+        root / "claims",
         max_workers=jobs,
         timeout=timeout,
         store=None if writes_faulted else RunStore(store_root),
     )
     chaos_stack = CachingRunner(pool, store)
     try:
-        cold = RecordingRunner(chaos_stack)
-        cold_passed = _run_workload(cold, scale, specs)
-        warm = RecordingRunner(chaos_stack)
-        warm_passed = _run_workload(warm, scale, specs)
+        cold_fingerprint = results_fingerprint(chaos_stack.run(grid))
+        warm_fingerprint = results_fingerprint(chaos_stack.run(grid))
     finally:
         pool.close()
 
     return ChaosReport(
         plan=plan.to_dict(),
         plan_digest=plan_digest(plan),
-        workload=workload,
-        runs=cold.count,
+        runs=len(grid),
         baseline_fingerprint=baseline_fingerprint,
-        cold_fingerprint=cold.fingerprint,
-        warm_fingerprint=warm.fingerprint,
+        cold_fingerprint=cold_fingerprint,
+        warm_fingerprint=warm_fingerprint,
         corrupt_entries=store.corrupt,
-        campaign_passed=cold_passed and warm_passed,
         failures=sorted(
             list(pool.failures)
             + (vfs.failures if vfs is not None else [])
@@ -288,25 +293,6 @@ def replay_plan(
 # ----------------------------------------------------------------------
 # Crash-point matrix
 # ----------------------------------------------------------------------
-
-
-def _default_matrix_grid() -> List[RunSpec]:
-    """The tiny spec grid the crash matrix exercises by default.
-
-    Small enough that one engine execution is milliseconds (the matrix
-    re-runs the workload at every crash-point x image cell), varied
-    enough that every entry has distinct content.
-    """
-    return [
-        make_spec(
-            "ring",
-            {"n": 6},
-            k=4,
-            seed=seed,
-            label=f"crash-matrix seed={seed}",
-        )
-        for seed in range(3)
-    ]
 
 
 class _MatrixScenario:
@@ -508,7 +494,7 @@ def _check_recovery(
         existed = probe.path_for(digest).exists()
         got = probe.get(spec)
         if got is not None:
-            if _result_json(got) != expected:
+            if run_fingerprint(got) != expected:
                 problems.append(
                     {
                         "invariant": "no-torn-read",
@@ -533,7 +519,7 @@ def _check_recovery(
     warm_store = RunStore(store_root, durability=durability, clock=clock)
     warm = CachingRunner(SerialRunner(), warm_store)
     for spec, result, expected in zip(specs, warm.run(specs), baseline):
-        if _result_json(result) != expected:
+        if run_fingerprint(result) != expected:
             problems.append(
                 {
                     "invariant": "warm-convergence",
@@ -568,14 +554,14 @@ def run_crash_matrix(
 
     ``workdir`` hosts one throwaway store tree per (scenario,
     durability, crash point) cell -- use a fresh temporary directory.
-    ``specs`` overrides the default micro-grid (keep it tiny: the full
-    workload re-runs at every cell).
+    ``specs`` overrides the default micro-grid, the first three specs of
+    :func:`chaos_grid` (keep it tiny: the full workload re-runs at every
+    cell).
     """
     workdir = pathlib.Path(workdir)
-    grid = list(specs) if specs is not None else _default_matrix_grid()
-    baseline_runner = SerialRunner()
-    results = baseline_runner.run(grid)
-    baseline = [_result_json(result) for result in results]
+    grid = list(specs) if specs is not None else chaos_grid()[:3]
+    results = SerialRunner().run(grid)
+    baseline = [run_fingerprint(result) for result in results]
     report = CrashMatrixReport(
         durabilities=list(durabilities), spec_count=len(grid)
     )

@@ -19,12 +19,12 @@
   that collateral would make the failure stream timing-dependent.
 
 Runner and engine faults both name a spec by its *global* index, counted
-across every ``run()`` call the instance serves, so a plan written
-against a campaign ("crash spec 9") keeps meaning the same work however
-the campaign's sections batch their grids.  A runner fault fires on
-whichever unit contains its spec, and the failure stream records a unit
-as the global index of its first targeted spec -- so the same plan
-produces the same stream under any ``chunksize``.
+across every ``run()`` call the instance serves, so a plan ("crash
+spec 9") keeps meaning the same work however the caller batches its
+grids.  A runner fault fires on whichever unit contains its spec, and
+the failure stream records a unit as the global index of its first
+targeted spec -- so the same plan produces the same stream under any
+``chunksize``.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ Subcommands:
 * ``cache``       -- inspect (``stats``, ``verify``) or clean (``gc``,
   ``clear``) the content-addressed run store;
 * ``chaos``       -- replay a seeded fault plan (:mod:`repro.chaos`)
-  against the campaign and assert bit-identical convergence;
+  against the committed chaos grid and assert bit-identical
+  convergence, or run the store's crash-consistency matrix;
 * ``export-dot``  -- Graphviz pictures of Figure 3 or a random
   configuration;
 * ``lint``        -- the AST-based determinism / cache-safety analyzer
@@ -271,17 +272,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(f"error: invalid fault plan: {error}", file=sys.stderr)
         return 2
 
-    scale = "quick" if args.quick else args.scale
     # The replay corrupts store entries by design, so it always runs
     # against a throwaway root -- never the user's cache.
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as root:
-        report = replay_plan(
-            plan,
-            root,
-            scale=scale,
-            jobs=args.jobs,
-            timeout=args.timeout,
-        )
+        try:
+            report = replay_plan(
+                plan, root, jobs=args.jobs, timeout=args.timeout
+            )
+        except PlanError as error:
+            print(f"error: invalid fault plan: {error}", file=sys.stderr)
+            return 2
     print(report.render())
     if args.json:
         with open(args.json, "w") as handle:
@@ -331,7 +331,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                     f"failure stream matches {args.golden_failures} "
                     f"({len(report.failures)} records)"
                 )
-    return 0 if report.ok and golden_ok else 1
+    return 0 if report.converged and golden_ok else 1
 
 
 def _run_crash_matrix_cli(args: argparse.Namespace) -> int:
@@ -540,13 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="both",
         help="store durability mode(s) the crash matrix sweeps "
         "(default both)",
-    )
-    p_chaos.add_argument(
-        "--scale", choices=("quick", "full"), default="quick"
-    )
-    p_chaos.add_argument(
-        "--quick", action="store_true",
-        help="alias for --scale quick (the default)",
     )
     p_chaos.add_argument(
         "--jobs", type=int, default=2,

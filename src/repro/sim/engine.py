@@ -62,13 +62,7 @@ from repro.robots.robot import RobotSet
 from repro.sim.algorithm import RobotAlgorithm
 from repro.sim.metrics import RoundRecord, RunResult, TerminationReason
 from repro.sim.observation import CommunicationModel
-from repro.sim.scheduling import (
-    Activation,
-    ActivationSchedule,
-    FsyncScheduler,
-    SchedulerModel,
-    SsyncScheduler,
-)
+from repro.sim.scheduling import Activation, FsyncScheduler, SchedulerModel
 
 
 class SimulationError(RuntimeError):
@@ -157,9 +151,7 @@ class SimulationEngine:
         candidate algorithms under handicapped models.
     scheduler:
         The :class:`~repro.sim.scheduling.SchedulerModel` driving the
-        phase loop (default: FSYNC, the paper's model).  Mutually
-        exclusive with ``activation_schedule``, which is kept as
-        shorthand for ``SsyncScheduler(schedule)``.  The engine refuses
+        phase loop (default: FSYNC, the paper's model).  The engine refuses
         to start if the algorithm's ``compatible_schedulers`` declaration
         excludes the model (same override as the communication check).
     max_rounds:
@@ -193,7 +185,6 @@ class SimulationEngine:
         collect_snapshots: bool = False,
         validate_graphs: bool = True,
         allow_model_mismatch: bool = False,
-        activation_schedule: Optional[ActivationSchedule] = None,
         scheduler: Optional[SchedulerModel] = None,
         byzantine_policies: Optional[Mapping[int, "ByzantinePolicy"]] = None,
         backend: Optional["EngineBackend"] = None,
@@ -210,18 +201,8 @@ class SimulationEngine:
             initial_positions = dict(robots)
             RobotSet(initial_positions, dynamic_graph.n)  # validates
 
-        if scheduler is not None and activation_schedule is not None:
-            raise ValueError(
-                "pass either scheduler or activation_schedule, not both "
-                "(an activation schedule is shorthand for "
-                "SsyncScheduler(schedule))"
-            )
         if scheduler is None:
-            scheduler = (
-                SsyncScheduler(activation_schedule)
-                if activation_schedule is not None
-                else FsyncScheduler()
-            )
+            scheduler = FsyncScheduler()
 
         if not allow_model_mismatch:
             if (

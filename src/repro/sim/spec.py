@@ -3,7 +3,7 @@
 A :class:`RunSpec` is pure data: it names every ingredient of one
 simulation run -- the dynamic-graph factory and its parameters, the
 initial placement, the algorithm, the communication/sensing model, crash
-and byzantine schedules, the scheduler model / activation schedule, the
+and byzantine schedules, the scheduler model (with its activation policy), the
 master seed and the engine knobs -- without holding any live object.  That buys three things
 at once:
 
@@ -153,7 +153,10 @@ def register_scheduler(name: str, factory: Optional[Callable] = None) -> Callabl
 
 
 def register_activation(name: str, factory: Optional[Callable] = None) -> Callable:
-    """Register ``factory(params) -> ActivationSchedule`` under ``name``."""
+    """Register ``factory(params) -> ActivationSchedule`` under ``name``.
+
+    The ssync scheduler resolves its ``policy`` param here.
+    """
     if factory is None:
         return lambda fn: register_activation(name, fn)
     _ACTIVATION_FACTORIES[name] = factory
@@ -392,7 +395,6 @@ class RunSpec:
     neighborhood_knowledge: bool = True
     crash: Optional[CrashSpec] = None
     byzantine: Mapping[int, ComponentSpec] = field(default_factory=dict)
-    activation: Optional[ComponentSpec] = None
     scheduler: Optional[ComponentSpec] = None
     backend: Optional[ComponentSpec] = None
     seed: int = 0
@@ -408,12 +410,6 @@ class RunSpec:
             raise SpecError(
                 f"communication must be 'global' or 'local', got "
                 f"{self.communication!r}"
-            )
-        if self.scheduler is not None and self.activation is not None:
-            raise SpecError(
-                "a spec takes either 'scheduler' or 'activation', not both "
-                "(an activation component is shorthand for the ssync "
-                "scheduler with that policy)"
             )
 
     @property
@@ -456,8 +452,6 @@ class RunSpec:
                 str(robot): spec.to_dict()
                 for robot, spec in self.byzantine.items()
             }
-        if self.activation is not None:
-            data["activation"] = self.activation.to_dict()
         # Omitted when None (the FSYNC default) so pre-scheduler specs --
         # and their content digests -- are byte-identical.
         if self.scheduler is not None:
@@ -481,8 +475,13 @@ class RunSpec:
                 f"unsupported spec format_version {version}; this library "
                 f"reads version {SPEC_FORMAT_VERSION}"
             )
+        if "activation" in data:
+            raise SpecError(
+                "the 'activation' spec key is retired; write the policy as "
+                "scheduler={'name': 'ssync', 'params': {'policy': <name>, "
+                "...}}"
+            )
         crash = data.get("crash")
-        activation = data.get("activation")
         scheduler = data.get("scheduler")
         backend = data.get("backend")
         return cls(
@@ -500,10 +499,6 @@ class RunSpec:
                 int(robot): ComponentSpec.from_dict(spec)
                 for robot, spec in data.get("byzantine", {}).items()
             },
-            activation=(
-                ComponentSpec.from_dict(activation)
-                if activation is not None else None
-            ),
             scheduler=(
                 ComponentSpec.from_dict(scheduler)
                 if scheduler is not None else None
@@ -719,12 +714,6 @@ def build_engine(spec: RunSpec, *, observers: Sequence[Any] = ()) -> Any:
         )
         for robot, policy in spec.byzantine.items()
     }
-    activation = (
-        _lookup(_ACTIVATION_FACTORIES, "activation", spec.activation.name)(
-            dict(spec.activation.params)
-        )
-        if spec.activation is not None else None
-    )
     scheduler = (
         _lookup(_SCHEDULER_FACTORIES, "scheduler", spec.scheduler.name)(
             dict(spec.scheduler.params)
@@ -746,7 +735,6 @@ def build_engine(spec: RunSpec, *, observers: Sequence[Any] = ()) -> Any:
         collect_snapshots=spec.collect_snapshots,
         validate_graphs=spec.validate_graphs,
         allow_model_mismatch=spec.allow_model_mismatch,
-        activation_schedule=activation,
         scheduler=scheduler,
         byzantine_policies=byzantine or None,
         backend=backend,

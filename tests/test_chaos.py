@@ -27,6 +27,7 @@ from repro.chaos import (
     PhaseFaultObserver,
     PlanError,
     RunnerFault,
+    chaos_grid,
     chaos_vfs_for_plan,
     diff_failure_streams,
     load_failure_stream,
@@ -35,7 +36,7 @@ from repro.chaos import (
     replay_plan,
 )
 from repro.sim.runner import SerialRunner
-from repro.sim.spec import build_engine, make_spec
+from repro.sim.spec import build_engine, make_spec, spec_digest
 from repro.sim.store import CachingRunner, RunStore
 from repro.sim.traceio import run_result_to_dict
 
@@ -345,7 +346,7 @@ class TestChaosPoolRunner:
 class TestReplayGolden:
     def test_same_plan_replays_identically(self, tmp_path):
         """The acceptance golden: the example plan, replayed twice
-        against the same campaign, yields the committed failure stream
+        against the chaos grid, yields the committed failure stream
         both times -- one record per declared fault, so a fault that
         silently addresses nothing fails here -- and bit-identical
         results (fingerprints equal to the baseline)."""
@@ -355,15 +356,14 @@ class TestReplayGolden:
         _, golden = load_failure_stream(
             (EXAMPLES / "chaos_failures.golden.json").read_text()
         )
-        first = replay_plan(plan, tmp_path / "a", scale="quick", jobs=2)
+        first = replay_plan(plan, tmp_path / "a", jobs=2)
         second = replay_plan(
             plan,
             tmp_path / "b",
-            scale="quick",
             jobs=2,
             baseline_fingerprint=first.baseline_fingerprint,
         )
-        assert first.ok and second.ok
+        assert first.converged and second.converged
         assert first.failures == golden
         assert second.failures == golden
         assert len(golden) == plan.fault_count
@@ -374,7 +374,7 @@ class TestReplayGolden:
 
     def test_campaign_tolerates_three_corrupt_entries(self, tmp_path):
         """The acceptance store criterion: three injected corrupt entries,
-        campaign completes, corrupt_entries=3 reported, entries
+        the grid completes, corrupt_entries=3 reported, entries
         quarantined, every affected spec recomputed -- zero wrong
         results served (convergence is bit-identity)."""
         plan = FaultPlan(
@@ -385,16 +385,15 @@ class TestReplayGolden:
                 _read_fault("truncate", 20),
             ),
         )
-        report = replay_plan(plan, tmp_path, scale="quick", jobs=2)
-        assert report.ok
+        report = replay_plan(plan, tmp_path, jobs=2)
+        assert report.converged
         assert report.corrupt_entries == 3
-        assert report.campaign_passed
         assert [r.kind for r in report.failures] == ["corrupt"] * 3
         quarantined = list((tmp_path / "store" / "quarantine").glob("*.json"))
         assert len(quarantined) == 3
         # The machine-readable report round-trips.
         data = report.to_dict()
-        assert data["ok"] and data["corrupt_entries"] == 3
+        assert data["converged"] and data["corrupt_entries"] == 3
         assert len(data["failures"]) == 3
         assert "CONVERGED" in report.render()
 
@@ -402,7 +401,7 @@ class TestReplayGolden:
         specs = _grid(4)
         plan = FaultPlan(seed=1)
         report = replay_plan(plan, tmp_path, specs=specs, jobs=2)
-        assert report.ok and report.runs == len(specs)
+        assert report.converged and report.runs == len(specs)
         # A wrong baseline fingerprint must be flagged as divergence.
         bad = replay_plan(
             plan,
@@ -411,8 +410,58 @@ class TestReplayGolden:
             jobs=2,
             baseline_fingerprint="0" * 64,
         )
-        assert not bad.converged and not bad.ok
+        assert not bad.converged
         assert "DIVERGED" in bad.render()
+
+
+class TestChaosGrid:
+    def test_every_spec_runs_records_and_disperses(self):
+        for spec in chaos_grid():
+            result = repro.execute(spec)
+            assert spec.collect_records, spec.label
+            assert result.rounds >= 1 and result.records, spec.label
+            assert result.dispersed, spec.label
+
+    def test_grid_covers_backends_schedulers_and_faults(self):
+        specs = chaos_grid()
+        assert 20 <= len(specs) <= 30
+        assert len({spec_digest(spec) for spec in specs}) == len(specs)
+        assert {
+            spec.backend.name for spec in specs if spec.backend is not None
+        } == {"reference", "vectorized"}
+        assert {
+            spec.scheduler.name if spec.scheduler is not None else "fsync"
+            for spec in specs
+        } == {"fsync", "ssync", "async"}
+        graphs = {spec.graph.name for spec in specs}
+        assert {"random_churn", "static_family"} <= graphs
+        assert any(spec.crash is not None for spec in specs)
+
+    def test_first_three_specs_are_the_crash_matrix_grid(self):
+        assert chaos_grid()[:3] == [
+            make_spec(
+                "ring",
+                {"n": 6},
+                k=4,
+                seed=seed,
+                label=f"crash-matrix seed={seed}",
+            )
+            for seed in range(3)
+        ]
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            FaultPlan(runner=(RunnerFault("crash", spec_index=4),)),
+            FaultPlan(engine=(EngineFault("on_compute", spec_index=9),)),
+        ],
+    )
+    def test_address_past_the_grid_raises_before_any_pass(
+        self, tmp_path, plan
+    ):
+        with pytest.raises(PlanError, match="4-spec grid"):
+            replay_plan(plan, tmp_path / "root", specs=_grid(4))
+        assert not (tmp_path / "root").exists()
 
 
 class TestCampaignFailureReporting:

@@ -150,6 +150,8 @@ class TestChaosCommand:
     def test_replay_converges_and_writes_report(self, tmp_path, capsys):
         import json
 
+        from repro.chaos import chaos_grid
+
         plan_path = tmp_path / "plan.json"
         plan_path.write_text(
             json.dumps(
@@ -165,13 +167,13 @@ class TestChaosCommand:
         )
         report_path = tmp_path / "report.json"
         assert main(
-            ["chaos", "--plan", str(plan_path), "--quick",
-             "--json", str(report_path)]
+            ["chaos", "--plan", str(plan_path), "--json", str(report_path)]
         ) == 0
         out = capsys.readouterr().out
         assert "CONVERGED" in out
         data = json.loads(report_path.read_text())
-        assert data["ok"] is True
+        assert data["converged"] is True
+        assert data["runs"] == len(chaos_grid())
         assert [f["kind"] for f in data["failures"]] == ["transient"]
 
     def test_missing_and_invalid_plans_exit_two(self, tmp_path, capsys):
@@ -193,8 +195,30 @@ class TestChaosCommand:
             "runner": [{"kind": "crash", "spec_index": 3, "unit_index": 7}],
             "engine": [{"phase": "on_move", "spec_index": 1, "rounds": 4}],
         }))
-        assert main(["chaos", "--plan", str(plan), "--quick"]) == 2
+        assert main(["chaos", "--plan", str(plan)]) == 2
         assert "unit_index" in capsys.readouterr().err
+
+    def test_plan_addressing_past_the_grid_exits_two(self, tmp_path, capsys):
+        import json
+
+        plan = tmp_path / "far.json"
+        plan.write_text(json.dumps({
+            "format_version": 2,
+            "engine": [{"phase": "on_compute", "spec_index": 23}],
+        }))
+        assert main(["chaos", "--plan", str(plan)]) == 2
+        err = capsys.readouterr().err
+        assert "spec_index 23" in err and "23-spec grid" in err
+
+    @pytest.mark.parametrize(
+        "flags", [["--quick"], ["--scale", "full"], ["--scale", "quick"]]
+    )
+    def test_retired_scale_flags_exit_two(self, tmp_path, flags):
+        plan = tmp_path / "empty.json"
+        plan.write_text('{"format_version": 2}')
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos", "--plan", str(plan), *flags])
+        assert exit_info.value.code == 2
 
 
 class TestCacheGcPurgeQuarantine:
@@ -240,14 +264,14 @@ class TestChaosGoldenFailures:
         plan = self._plan(tmp_path)
         golden = tmp_path / "golden.json"
         assert main(
-            ["chaos", "--plan", str(plan), "--quick",
+            ["chaos", "--plan", str(plan),
              "--golden-failures", str(golden), "--update-golden"]
         ) == 0
         assert "wrote golden failure stream" in capsys.readouterr().out
         _, records = load_failure_stream(golden.read_text())
         assert [r.kind for r in records] == ["transient"]
         assert main(
-            ["chaos", "--plan", str(plan), "--quick",
+            ["chaos", "--plan", str(plan),
              "--golden-failures", str(golden)]
         ) == 0
         assert "failure stream matches" in capsys.readouterr().out
@@ -259,7 +283,7 @@ class TestChaosGoldenFailures:
         golden = tmp_path / "golden.json"
         golden.write_text(render_failure_stream("0" * 64, []))
         assert main(
-            ["chaos", "--plan", str(plan), "--quick",
+            ["chaos", "--plan", str(plan),
              "--golden-failures", str(golden)]
         ) == 1
         out = capsys.readouterr().out

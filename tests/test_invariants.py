@@ -20,7 +20,7 @@ from repro.sim.invariants import (
     check_round_indices,
     verify_run,
 )
-from repro.sim.scheduling import RandomSubsetActivation
+from repro.sim.scheduling import RandomSubsetActivation, SsyncScheduler
 
 
 def canonical_run(seed=0, k=12, n=18, **kwargs):
@@ -90,7 +90,7 @@ class TestSemiSyncRuns:
             dyn,
             RobotSet.rooted(10, 16),
             DispersionDynamic(),
-            activation_schedule=RandomSubsetActivation(0.5, seed=5),
+            scheduler=SsyncScheduler(RandomSubsetActivation(0.5, seed=5)),
             collect_snapshots=True,
             max_rounds=4000,
         ).run()

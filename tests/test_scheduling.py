@@ -191,7 +191,7 @@ class TestEngineIntegration:
             StaticDynamicGraph(star_graph(8)),
             RobotSet.rooted(6, 8),
             algorithm,
-            activation_schedule=schedule,
+            scheduler=SsyncScheduler(schedule),
             max_rounds=4,
         ).run()
         assert algorithm.asked[0] == {1, 2, 3, 4, 5, 6}
@@ -219,7 +219,7 @@ class TestEngineIntegration:
                 StaticDynamicGraph(star_graph(8)),
                 RobotSet.rooted(6, 8),
                 RecordingAlgorithm(),
-                activation_schedule=Liar(),
+                scheduler=SsyncScheduler(Liar()),
                 max_rounds=2,
             ).run()
 
@@ -233,7 +233,7 @@ class TestEngineIntegration:
                 StaticDynamicGraph(star_graph(8)),
                 RobotSet.rooted(6, 8),
                 RecordingAlgorithm(),
-                activation_schedule=Sleeper(),
+                scheduler=SsyncScheduler(Sleeper()),
                 max_rounds=2,
             ).run()
 
@@ -244,17 +244,17 @@ class TestSemiSyncDispersion:
     def test_full_probability_matches_synchronous(self):
         n, k, seed = 16, 12, 1
 
-        def run(schedule):
+        def run(scheduler):
             dyn = RandomChurnDynamicGraph(n, extra_edges=6, seed=seed)
             return SimulationEngine(
                 dyn,
                 RobotSet.rooted(k, n),
                 DispersionDynamic(),
-                activation_schedule=schedule,
+                scheduler=scheduler,
             ).run()
 
         sync = run(None)
-        pseudo = run(RandomSubsetActivation(1.0, seed=0))
+        pseudo = run(SsyncScheduler(RandomSubsetActivation(1.0, seed=0)))
         assert sync.rounds == pseudo.rounds
         assert sync.final_positions == pseudo.final_positions
 
@@ -269,7 +269,7 @@ class TestSemiSyncDispersion:
                 dyn,
                 RobotSet.rooted(k, n),
                 DispersionDynamic(),
-                activation_schedule=RandomSubsetActivation(p, seed=seed),
+                scheduler=SsyncScheduler(RandomSubsetActivation(p, seed=seed)),
                 max_rounds=5000,
             ).run()
             assert result.dispersed, (p, seed)
@@ -391,10 +391,11 @@ class TestSchedulerCompatibility:
             self._engine(scheduler=AsyncScheduler(seed=0))
 
     def test_incompatible_activation_schedule_rejected(self):
-        """The legacy activation_schedule path is ssync in disguise."""
+        """An activation policy runs only inside the ssync scheduler,
+        which an fsync-only algorithm rejects."""
         with pytest.raises(ValueError, match="compatible schedulers"):
             self._engine(
-                activation_schedule=RandomSubsetActivation(0.5, seed=0)
+                scheduler=SsyncScheduler(RandomSubsetActivation(0.5, seed=0))
             )
 
     def test_mismatch_override(self):
@@ -407,7 +408,9 @@ class TestSchedulerCompatibility:
         self._engine(scheduler=FsyncScheduler()).run()
 
     def test_scheduler_and_activation_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
+        """``scheduler=`` is the only way in: the engine takes no
+        ``activation_schedule`` shorthand beside it."""
+        with pytest.raises(TypeError, match="activation_schedule"):
             self._engine(
                 scheduler=FsyncScheduler(),
                 activation_schedule=FullActivation(),
@@ -513,24 +516,23 @@ class TestSchedulerModelGrid:
 class TestCrossSchedulerReplay:
     """Identical seeds give identical traces, per scheduler model.
 
-    Uses the same fingerprint harness as the chaos replay suite
-    (RecordingRunner folding canonical run exports into a sha256), so
-    the async determinism criterion is checked with the exact machinery
-    that gates chaos convergence.
+    Uses the same fingerprint as the chaos replay suite
+    (``results_fingerprint``, one sha256 over each result's
+    ``run_fingerprint``), so the async determinism criterion is checked
+    with the exact machinery that gates chaos convergence.
     """
 
     def _fingerprint(self, name):
-        from repro.chaos.replay import RecordingRunner
+        from repro.chaos.replay import results_fingerprint
         from repro.sim.runner import SerialRunner
 
-        runner = RecordingRunner(SerialRunner())
         specs = [
             _scheduler_spec(SCHEDULER_COMPONENTS[name], seed)
             for seed in range(3)
         ]
-        results = runner.run(specs)
+        results = SerialRunner().run(specs)
         assert all(r.dispersed for r in results), name
-        return runner.fingerprint
+        return results_fingerprint(results)
 
     @pytest.mark.parametrize("name", ["fsync", "ssync", "async"])
     def test_double_replay_fingerprint_converges(self, name):
@@ -554,10 +556,15 @@ class TestCrossSchedulerReplay:
         assert "scheduler" not in spec.to_dict()
 
     def test_spec_rejects_scheduler_plus_activation(self):
-        with pytest.raises(SpecError, match="not both"):
-            _scheduler_spec(SCHEDULER_COMPONENTS["ssync"], 0).with_(
-                activation=ComponentSpec("full")
-            )
+        """The retired ``activation`` key is refused, never dropped: an
+        old SSYNC spec must not load silently as FSYNC."""
+        data = _scheduler_spec(SCHEDULER_COMPONENTS["ssync"], 0).to_dict()
+        data["activation"] = ComponentSpec("full").to_dict()
+        with pytest.raises(SpecError, match="scheduler"):
+            RunSpec.from_dict(data)
+        del data["scheduler"]
+        with pytest.raises(SpecError, match="retired"):
+            RunSpec.from_dict(data)
 
     def test_registered_components_lists_schedulers(self):
         from repro.sim.spec import (
@@ -624,7 +631,9 @@ class TestSemiSyncDispersionBounds:
                 dyn,
                 RobotSet.rooted(k, n),
                 DispersionDynamic(),
-                activation_schedule=RandomSubsetActivation(0.55, seed=seed),
+                scheduler=SsyncScheduler(
+                    RandomSubsetActivation(0.55, seed=seed)
+                ),
                 max_rounds=5000,
             ).run()
             assert result.dispersed

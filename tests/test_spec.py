@@ -87,12 +87,14 @@ def _spec_grid():
                 },
             ]
         )
-        activation = rng.choice(
+        scheduler = rng.choice(
             [
                 None,
-                ComponentSpec("full"),
-                ComponentSpec("random_subset", {"p": 0.5, "seed": i}),
-                ComponentSpec("round_robin", {"window": 3}),
+                ComponentSpec("ssync", {"policy": "full"}),
+                ComponentSpec(
+                    "ssync", {"policy": "random_subset", "p": 0.5, "seed": i}
+                ),
+                ComponentSpec("ssync", {"policy": "round_robin", "window": 3}),
             ]
         )
         specs.append(
@@ -107,7 +109,7 @@ def _spec_grid():
                 neighborhood_knowledge=rng.choice([True, False]),
                 crash=crash,
                 byzantine=byzantine,
-                activation=activation,
+                scheduler=scheduler,
                 seed=rng.randint(0, 10_000),
                 max_rounds=rng.choice([None, rng.randint(1, 500)]),
                 collect_records=rng.choice([True, False]),

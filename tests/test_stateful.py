@@ -32,7 +32,7 @@ from repro.robots.robot import RobotSet
 from repro.sim.engine import SimulationEngine
 from repro.sim.invariants import verify_run
 from repro.sim.metrics import TerminationReason
-from repro.sim.scheduling import RandomSubsetActivation
+from repro.sim.scheduling import RandomSubsetActivation, SsyncScheduler
 
 
 class DispersionRunMachine(RuleBasedStateMachine):
@@ -142,7 +142,9 @@ class DispersionRunMachine(RuleBasedStateMachine):
             self.dynamics_builder(),
             RobotSet.rooted(self.k, self.n),
             DispersionDynamic(),
-            activation_schedule=RandomSubsetActivation(p, seed=self.seed),
+            scheduler=SsyncScheduler(
+                RandomSubsetActivation(p, seed=self.seed)
+            ),
             collect_snapshots=True,
             max_rounds=6000,
         )
