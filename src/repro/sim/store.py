@@ -201,6 +201,30 @@ def default_cache_dir() -> pathlib.Path:
     return base / "repro-dispersion"
 
 
+def _json_object(members: Mapping[str, str]) -> str:
+    """A compact JSON object, keys sorted, from already-encoded values.
+
+    The same bytes as ``json.dumps`` of the decoded object with
+    ``separators=(",", ":")`` and ``sort_keys=True``, given values so
+    encoded.  Names are this module's plain field names, which need no
+    escaping.
+    """
+    return "{" + ",".join(
+        f'"{name}":{text}' for name, text in sorted(members.items())
+    ) + "}"
+
+
+def _checksum(digest: str, salt: str, spec_json: str, result_json: str) -> str:
+    """:func:`entry_checksum` over the spec's and result's canonical JSON."""
+    preimage = _json_object({
+        "digest": canonical_json(digest),
+        "salt": canonical_json(salt),
+        "spec": spec_json,
+        "result": result_json,
+    })
+    return hashlib.sha256(preimage.encode("utf-8")).hexdigest()
+
+
 def entry_checksum(
     digest: str,
     salt: str,
@@ -214,10 +238,9 @@ def entry_checksum(
     excluded so equal results always carry equal checksums, mirroring how
     :func:`~repro.sim.spec.spec_digest` excludes the display label.
     """
-    payload = canonical_json(
-        {"digest": digest, "salt": salt, "spec": dict(spec), "result": dict(result)}
+    return _checksum(
+        digest, salt, canonical_json(dict(spec)), canonical_json(dict(result))
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -512,8 +535,10 @@ class RunStore:
         if not self._recovered:
             self.recover(sweep_tombstones=False)
         spec_dict = spec.to_dict()
-        result_dict = run_result_to_dict(result)
-        payload = {
+        # The result is encoded once: its canonical JSON is both the
+        # checksum's pre-image part and the entry's "result" member.
+        result_json = canonical_json(run_result_to_dict(result))
+        fields = {
             "kind": "run_store_entry",
             "layout_version": LAYOUT_VERSION,
             "digest": digest,
@@ -527,11 +552,17 @@ class RunStore:
             "seconds": seconds,
             # Integrity checksum over the content-bearing fields only
             # (provenance excluded), re-derived by every read.
-            "checksum": entry_checksum(digest, self.salt, spec_dict, result_dict),
+            "checksum": _checksum(
+                digest, self.salt, canonical_json(spec_dict), result_json
+            ),
             "spec": spec_dict,
-            "result": result_dict,
         }
-        data = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+        members = {
+            name: json.dumps(value, separators=(",", ":"), sort_keys=True)
+            for name, value in fields.items()
+        }
+        members["result"] = result_json
+        data = _json_object(members)
         vfs = self.vfs
         vfs.mkdir(path.parent, writer=self.writer)
         vfs.mkdir(self.staging_dir, writer=self.writer)

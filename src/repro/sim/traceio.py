@@ -14,6 +14,10 @@ process that produced them.  This module provides:
   run export and reconstruction (metrics + per-round records), which is
   how :class:`~repro.sim.store.RunStore` persists results: a stored hit
   compares equal, field for field, to the result it replaced;
+* :func:`run_result_to_json` / :func:`run_fingerprint` -- the export's
+  JSON text and its sha256, encoded one record at a time by one
+  generator, so the fingerprint of a long run never holds the whole
+  export (nor its dict tree) in memory;
 * :func:`replay_and_verify` -- re-execute a serialized instance and check
   the recorded outcome still holds (the reproducibility self-test).
 """
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, FrozenSet, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.graph.dynamic import DynamicGraph, SequenceDynamicGraph
 from repro.graph.snapshot import GraphSnapshot
@@ -109,58 +113,49 @@ def script_from_dict(data: Dict[str, Any], *, tail: str = "hold") -> SequenceDyn
 # ---------------------------------------------------------------------------
 
 
-def run_result_to_dict(result: RunResult) -> Dict[str, Any]:
-    """Full dict export of a run (JSON-serializable, lossless).
+def _converted(memo: Dict[int, Any], container: Any, convert: Callable[[Any], Any]) -> Any:
+    """``convert(container)``, done once per container object in ``memo``.
 
-    Records share their configuration containers (see
-    :class:`~repro.sim.metrics.RoundRecord`), so each positions dict and
-    occupied set is converted once and the export shares the converted
-    dict or list the same way.  Treat the output as read-only.
+    Keyed on id(): every key's object stays alive in the result's
+    records for as long as the memo is used, so no id is reused.
     """
-    # Keyed on id(): every key's object stays alive in result.records
-    # for the whole call, so no id is reused.
-    positions_done: Dict[int, Dict[str, int]] = {}
-    occupied_done: Dict[int, List[int]] = {}
+    done = memo.get(id(container))
+    if done is None:
+        done = memo[id(container)] = convert(container)
+    return done
 
-    def positions(mapping: Dict[int, int]) -> Dict[str, int]:
-        done = positions_done.get(id(mapping))
-        if done is None:
-            done = positions_done[id(mapping)] = {
-                str(r): v for r, v in mapping.items()
-            }
-        return done
 
-    def occupied(nodes: FrozenSet[int]) -> List[int]:
-        done = occupied_done.get(id(nodes))
-        if done is None:
-            done = occupied_done[id(nodes)] = sorted(nodes)
-        return done
+def _positions_to_dict(mapping: Dict[int, int]) -> Dict[str, int]:
+    return {str(robot): node for robot, node in mapping.items()}
 
-    records = []
-    for record in result.records:
-        entry: Dict[str, Any] = {
-            "round": record.round_index,
-            "positions_before": positions(record.positions_before),
-            "positions_after": positions(record.positions_after),
-            "moved": list(record.moved_robots),
-            "crashed_before_communicate": list(
-                record.crashed_before_communicate
-            ),
-            "crashed_after_compute": list(record.crashed_after_compute),
-            "occupied_before": occupied(record.occupied_before),
-            "occupied_after": occupied(record.occupied_after),
-            "num_components": record.num_components,
-            "max_persistent_bits": record.max_persistent_bits,
-        }
-        if record.snapshot is not None:
-            entry["snapshot"] = snapshot_to_dict(record.snapshot)
-        # Scheduler-timeline fields are emitted only when present so
-        # FSYNC exports stay byte-identical to the historical format.
-        if record.epoch is not None:
-            entry["epoch"] = record.epoch
-        if record.activated_robots is not None:
-            entry["activated"] = list(record.activated_robots)
-        records.append(entry)
+
+def _record_to_dict(record: RoundRecord, memo: Dict[int, Any]) -> Dict[str, Any]:
+    """One record's export; its configuration containers go through ``memo``."""
+    entry: Dict[str, Any] = {
+        "round": record.round_index,
+        "positions_before": _converted(memo, record.positions_before, _positions_to_dict),
+        "positions_after": _converted(memo, record.positions_after, _positions_to_dict),
+        "moved": list(record.moved_robots),
+        "crashed_before_communicate": list(record.crashed_before_communicate),
+        "crashed_after_compute": list(record.crashed_after_compute),
+        "occupied_before": _converted(memo, record.occupied_before, sorted),
+        "occupied_after": _converted(memo, record.occupied_after, sorted),
+        "num_components": record.num_components,
+        "max_persistent_bits": record.max_persistent_bits,
+    }
+    if record.snapshot is not None:
+        entry["snapshot"] = snapshot_to_dict(record.snapshot)
+    # Scheduler-timeline fields are emitted only when present so FSYNC
+    # exports stay byte-identical to the historical format.
+    if record.epoch is not None:
+        entry["epoch"] = record.epoch
+    if record.activated_robots is not None:
+        entry["activated"] = list(record.activated_robots)
+    return entry
+
+
+def _run_payload(result: RunResult, records: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """The run's export around the given ``records`` list."""
     payload: Dict[str, Any] = {
         "format_version": FORMAT_VERSION,
         "kind": "run_result",
@@ -169,9 +164,7 @@ def run_result_to_dict(result: RunResult) -> Dict[str, Any]:
         "k": result.k,
         "n": result.n,
         "initial_occupied": result.initial_occupied,
-        "final_positions": {
-            str(robot): node for robot, node in result.final_positions.items()
-        },
+        "final_positions": _positions_to_dict(result.final_positions),
         "crashed_robots": list(result.crashed_robots),
         "byzantine_robots": list(result.byzantine_robots),
         "total_moves": result.total_moves,
@@ -184,6 +177,20 @@ def run_result_to_dict(result: RunResult) -> Dict[str, Any]:
     if result.final_epoch is not None:
         payload["final_epoch"] = result.final_epoch
     return payload
+
+
+def run_result_to_dict(result: RunResult) -> Dict[str, Any]:
+    """Full dict export of a run (JSON-serializable, lossless).
+
+    Records share their configuration containers (see
+    :class:`~repro.sim.metrics.RoundRecord`), so each positions dict and
+    occupied set is converted once and the export shares the converted
+    dict or list the same way.  Treat the output as read-only.
+    """
+    memo: Dict[int, Any] = {}
+    return _run_payload(
+        result, [_record_to_dict(record, memo) for record in result.records]
+    )
 
 
 def _record_from_dict(data: Dict[str, Any]) -> RoundRecord:
@@ -274,9 +281,51 @@ def run_result_from_dict(data: Dict[str, Any]) -> RunResult:
         raise ValueError(f"malformed run_result payload: {exc}") from exc
 
 
+#: The records member of an export whose records list is empty, the same
+#: text with and without ``indent``.  Only the top-level key can match: a
+#: quote inside a JSON string is always escaped.
+_EMPTY_RECORDS = '"records": []'
+
+
+def _run_json_pieces(result: RunResult, indent: Optional[int]) -> Iterator[str]:
+    """``json.dumps(run_result_to_dict(result), indent=indent,
+    sort_keys=True)``, one record at a time.
+
+    The text around the records is encoded with an empty records list and
+    split there.  Each record is encoded on its own and, under
+    ``indent``, re-indented to its depth in the export: a record's
+    newlines are all indentation, since JSON strings never contain a raw
+    newline.  A converted configuration container is kept only until the
+    next record, which shares it, has been encoded.
+    """
+    text = json.dumps(_run_payload(result, []), indent=indent, sort_keys=True)
+    if not result.records:
+        yield text
+        return
+    head, _, tail = text.partition(_EMPTY_RECORDS)
+    if indent is None:
+        item, separator, close = "", ", ", "]"
+    else:
+        item = "\n" + " " * (2 * indent)
+        separator, close = "," + item, "\n" + " " * indent + "]"
+    yield head + '"records": [' + item
+    memo: Dict[int, Any] = {}
+    for index, record in enumerate(result.records):
+        entry = _record_to_dict(record, memo)
+        memo = {
+            id(record.positions_after): entry["positions_after"],
+            id(record.occupied_after): entry["occupied_after"],
+        }
+        chunk = json.dumps(entry, indent=indent, sort_keys=True)
+        if indent is not None:
+            chunk = chunk.replace("\n", item)
+        yield separator + chunk if index else chunk
+    yield close + tail
+
+
 def run_result_to_json(result: RunResult, *, indent: Optional[int] = None) -> str:
-    """JSON string export of a run."""
-    return json.dumps(run_result_to_dict(result), indent=indent, sort_keys=True)
+    """JSON string export of a run: ``run_result_to_dict`` with sorted keys."""
+    return "".join(_run_json_pieces(result, indent))
 
 
 def run_fingerprint(result: RunResult) -> str:
@@ -285,10 +334,13 @@ def run_fingerprint(result: RunResult) -> str:
     Two runs fingerprint equal iff their :func:`run_result_to_json`
     exports are byte-identical -- the equality contract the engine
     backends are held to (``reference`` vs ``vectorized``) and the
-    check the cross-backend replay tests assert.
+    check the cross-backend replay tests assert.  The export is hashed
+    record by record and never held whole.
     """
-    payload = run_result_to_json(result).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+    digest = hashlib.sha256()
+    for piece in _run_json_pieces(result, None):
+        digest.update(piece.encode("utf-8"))
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,11 @@ strategy draws only fault-free FSYNC Algorithm 4 runs and checks
 Theorem 4's ``k - initial_occupied`` round bound on every example; a
 third draws crash schedules (up to ``k - 1`` crashes, any round, both
 phases) and checks that bound and Lemma 7's potential under crashes
-(Theorem 5); and a construction count pins that runs outside the array
-path build no arrays at all.
+(Theorem 5).  A static star with a drawn centre, ports and placement
+attains Theorem 4's bound exactly; a lockstep oracle steps one engine per
+backend and compares the ``RoundState`` after every round, so a shrunk
+counterexample names the first round that diverges.  A construction
+count pins that runs outside the array path build no arrays at all.
 """
 
 import copy
@@ -29,7 +32,7 @@ import repro
 from repro.analysis.bounds import check_rounds_upper_bound
 from repro.core.dispersion import DispersionDynamic
 from repro.graph.dynamic import StaticDynamicGraph
-from repro.graph.generators import FAMILY_BUILDERS
+from repro.graph.generators import FAMILY_BUILDERS, star_graph
 from repro.robots.memory import bound_bits
 from repro.sim import backend as backend_module
 from repro.sim import backend_vectorized
@@ -50,6 +53,7 @@ from repro.sim.spec import (
     build_algorithm,
     build_backend,
     build_engine,
+    build_graph,
     execute,
     registered_components,
     spec_digest,
@@ -389,6 +393,85 @@ class TestTheorem4Generated:
         assert reference.max_persistent_bits == bound_bits(spec.placement.k), (
             spec.to_json()
         )
+
+
+@st.composite
+def star_instances(draw):
+    """A static star with a drawn centre and port labelling, the robots
+    rooted on any node or placed arbitrarily, and either ``faithful``."""
+    n = draw(st.integers(min_value=2, max_value=16))
+    k = draw(st.integers(min_value=1, max_value=n))
+    star = star_graph(
+        n,
+        center=draw(st.integers(0, n - 1)),
+        rng=random.Random(draw(st.integers(0, 10_000))),
+    )
+    if draw(st.booleans()):
+        positions = dict.fromkeys(range(1, k + 1), draw(st.integers(0, n - 1)))
+    else:
+        positions = {
+            robot: draw(st.integers(0, n - 1)) for robot in range(1, k + 1)
+        }
+    return star, positions, draw(st.booleans())
+
+
+class TestTheorem4Attained:
+    @given(star_instances())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_static_star_takes_exactly_k_minus_initial_occupied(self, instance):
+        # docs/model.md: a static star occupies exactly one new node per
+        # round from any placement, so Theorem 4's bound is attained.
+        star, positions, faithful = instance
+        reference, vectorized = (
+            SimulationEngine(
+                StaticDynamicGraph(star),
+                positions,
+                DispersionDynamic(faithful=faithful),
+                backend=build_backend(ComponentSpec(name)),
+            ).run()
+            for name in ("reference", "vectorized")
+        )
+        assert run_fingerprint(reference) == run_fingerprint(vectorized)
+        assert reference.dispersed
+        assert reference.rounds == len(positions) - len(set(positions.values()))
+
+
+class TestLockstep:
+    """One engine per backend stepped on the same snapshots: the first
+    round whose state differs is the one an assertion names."""
+
+    @given(theorem4_specs())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_round_states_agree_after_every_round(self, spec):
+        engines = [
+            build_engine(spec.with_(backend=ComponentSpec(name)))
+            for name in ("reference", "vectorized")
+        ]
+        for engine in engines:
+            engine.algorithm.on_run_start(engine.k, engine.n)
+        graph = build_graph(spec, None)
+        positions = spec.placement.build(graph.n, spec.seed).positions
+        reference = vectorized = RoundState(
+            positions=positions, ever_occupied=frozenset(positions.values())
+        )
+        for round_index in range(spec.max_rounds):
+            if reference.is_dispersed(()):
+                break
+            snapshot = graph.snapshot(round_index)
+            (reference, ref_outcome), (vectorized, vec_outcome) = (
+                engine.step(state, snapshot, round_index)
+                for engine, state in zip(engines, (reference, vectorized))
+            )
+            where = f"round {round_index} of {spec.to_json()}"
+            assert vectorized == reference, where
+            assert list(vectorized.positions.items()) == list(
+                reference.positions.items()
+            ), where
+            assert vec_outcome.moved == ref_outcome.moved, where
+            assert engines[1].backend.audit_memory(vectorized) == (
+                engines[0].backend.audit_memory(reference)
+            ), where
+        assert reference.is_dispersed(()), spec.to_json()
 
 
 @st.composite

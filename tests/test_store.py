@@ -14,22 +14,27 @@ import hashlib
 import json
 import multiprocessing
 import os
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.analysis.campaign import run_campaign
 from repro.analysis.experiments import rounds_vs_k_specs
 from repro.sim.runner import ProcessPoolRunner, SerialRunner
-from repro.sim.spec import make_spec, spec_digest
+from repro.sim.spec import canonical_json, execute, make_spec, spec_digest
 from repro.sim.store import (
+    LAYOUT_VERSION,
     CachingRunner,
     RunStore,
     default_cache_dir,
     entry_checksum,
 )
 from repro.sim.traceio import run_result_to_dict
+from tests.test_backend import generated_specs
 
 
 def _spec(seed=0, **kwargs):
@@ -232,6 +237,77 @@ class TestStoreIntegrity:
         assert stats.corrupt_entries == 1
         assert stats.to_dict()["corrupt_entries"] == 1
         assert "1 corrupt" in stats.render()
+
+
+def _oracle_checksum(digest, salt, spec, result):
+    """The checksum as one canonical encode of the four content fields."""
+    payload = canonical_json(
+        {"digest": digest, "salt": salt, "spec": dict(spec), "result": dict(result)}
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _oracle_entry(store, spec, result, *, created_at, seconds):
+    """The entry file as one ``json.dumps`` of the whole payload: the bytes
+    ``put``, which encodes the result once, must write."""
+    digest = store.digest(spec)
+    spec_dict = spec.to_dict()
+    result_dict = run_result_to_dict(result)
+    payload = {
+        "kind": "run_store_entry",
+        "layout_version": LAYOUT_VERSION,
+        "digest": digest,
+        "salt": store.salt,
+        "label": spec.label,
+        "created_at": created_at,
+        "seconds": seconds,
+        "checksum": _oracle_checksum(digest, store.salt, spec_dict, result_dict),
+        "spec": spec_dict,
+        "result": result_dict,
+    }
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
+
+
+class TestEntryEncoding:
+    """``put`` encodes each result once and assembles the entry around it;
+    the whole-payload encoding is the oracle for its bytes."""
+
+    CREATED_AT = 1_700_000_000.25
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        spec=generated_specs(),
+        snapshots=st.booleans(),
+        label=st.text(max_size=12),
+        seconds=st.one_of(st.none(), st.floats(0, 1e6)),
+    )
+    def test_entry_bytes_match_the_oracle(self, spec, snapshots, label, seconds):
+        spec = spec.with_(collect_snapshots=snapshots, label=label)
+        result = execute(spec)
+        with tempfile.TemporaryDirectory() as root:
+            store = RunStore(root, clock=lambda: self.CREATED_AT)
+            path = store.path_for(store.put(spec, result, seconds=seconds))
+            raw = path.read_bytes()
+            assert raw == _oracle_entry(
+                store, spec, result, created_at=self.CREATED_AT, seconds=seconds
+            )
+            payload = json.loads(raw)
+            assert entry_checksum(
+                payload["digest"], payload["salt"], payload["spec"], payload["result"]
+            ) == _oracle_checksum(
+                payload["digest"], payload["salt"], payload["spec"], payload["result"]
+            )
+            assert store.get(spec) == result
+            assert store.verify().clean
+
+    def test_checksum_matches_the_oracle_on_non_canonical_fields(self):
+        # Integral floats and tuples reach the checksum only through the
+        # canonical encoder; encoding the parts apart must not change it.
+        spec = {"graph": {"params": {"n": 8.0}}, "placement": (1, 2.5)}
+        result = {"rounds": 3.0, "records": [{"moved": (1, 2)}]}
+        assert entry_checksum("ab", "salt", spec, result) == (
+            _oracle_checksum("ab", "salt", spec, result)
+        )
 
 
 class TestQuarantineLifecycle:

@@ -1,9 +1,13 @@
 """Tests for JSON serialization and replay of runs and graph scripts."""
 
+import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dispersion import DispersionDynamic
 from repro.graph.dynamic import RandomChurnDynamicGraph
@@ -11,9 +15,11 @@ from repro.graph.generators import path_graph, random_connected_graph
 from repro.robots.robot import RobotSet
 from repro.sim.engine import SimulationEngine
 from repro.sim.spec import ComponentSpec, CrashSpec, execute, make_spec
+from repro.sim.metrics import TerminationReason
 from repro.sim.traceio import (
     dynamic_graph_to_script,
     replay_and_verify,
+    run_fingerprint,
     run_result_from_dict,
     run_result_to_dict,
     run_result_to_json,
@@ -22,6 +28,7 @@ from repro.sim.traceio import (
     snapshot_from_dict,
     snapshot_to_dict,
 )
+from tests.test_backend import generated_specs
 
 
 class TestSnapshotRoundtrip:
@@ -221,6 +228,84 @@ class TestSharedRecordContainers:
         result = getattr(self, run)()
         payload = json.loads(json.dumps(run_result_to_dict(result)))
         assert run_result_from_dict(payload) == result
+
+
+def _oracle_json(result, indent=None):
+    """The whole-tree export the streaming encoder must reproduce."""
+    return json.dumps(run_result_to_dict(result), indent=indent, sort_keys=True)
+
+
+def _oracle_fingerprint(result):
+    return hashlib.sha256(_oracle_json(result).encode("utf-8")).hexdigest()
+
+
+def _assert_matches_oracle(result):
+    for indent in (None, 1, 2):
+        assert run_result_to_json(result, indent=indent) == (
+            _oracle_json(result, indent)
+        ), indent
+    assert run_fingerprint(result) == _oracle_fingerprint(result)
+
+
+_CHURN = ("random_churn", {"n": 16, "extra_edges": 8})
+
+#: One run per shape of record the export must stream.
+STREAM_CASES = {
+    "snapshots": make_spec(*_CHURN, k=10, seed=5, collect_snapshots=True),
+    "ssync": make_spec(*_CHURN, k=10, seed=5, scheduler=ComponentSpec(
+        "ssync", {"policy": "random_subset", "p": 0.3, "seed": 3})),
+    "async": make_spec(*_CHURN, k=10, seed=5, scheduler=ComponentSpec(
+        "async", {"seed": 5, "distribution": "uniform", "max_delay": 3})),
+    "crash": make_spec(*_CHURN, k=10, seed=5, crash=CrashSpec(
+        kind="events",
+        events=((1, 2, "before_communicate"), (3, 3, "after_compute")),
+    )),
+    "byzantine": make_spec(
+        *_CHURN, k=10, seed=5, max_rounds=60,
+        byzantine={1: ComponentSpec("hide_multiplicity")},
+    ),
+    "already_dispersed": make_spec(*_CHURN, k=1, seed=5),
+}
+
+
+class TestStreamingExport:
+    """``run_result_to_json`` and ``run_fingerprint`` stream the export one
+    record at a time; the whole-tree ``json.dumps`` is the oracle."""
+
+    @pytest.mark.parametrize("case", sorted(STREAM_CASES))
+    def test_bytes_match_the_whole_tree_encoding(self, case):
+        result = execute(STREAM_CASES[case])
+        if case == "already_dispersed":
+            assert result.reason is TerminationReason.ALREADY_DISPERSED
+            assert result.records == []
+        else:
+            assert result.records
+        if case == "snapshots":
+            assert all(record.snapshot is not None for record in result.records)
+        if case in ("ssync", "async"):
+            assert result.final_epoch is not None
+        _assert_matches_oracle(result)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(spec=generated_specs(), snapshots=st.booleans())
+    def test_generated_runs_match_the_oracle(self, spec, snapshots):
+        _assert_matches_oracle(execute(spec.with_(collect_snapshots=snapshots)))
+
+    def test_fingerprint_never_holds_the_whole_export(self):
+        result = execute(make_spec(
+            "static_family", {"family": "random_dense", "n": 256}, k=200,
+            seed=3, backend=ComponentSpec("vectorized"),
+        ))
+        assert len(result.records) >= 100
+        size = len(run_result_to_json(result))
+        tracemalloc.start()
+        try:
+            fingerprint = run_fingerprint(result)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fingerprint == _oracle_fingerprint(result)
+        assert peak < size / 4, (peak, size)
 
 
 class TestReplay:
